@@ -25,7 +25,7 @@ def reference_applies(args):
             and args.subdomains == "2x2")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=450)
     ap.add_argument("--eps-min", type=float, default=1e-15)
@@ -33,7 +33,7 @@ def main():
     ap.add_argument("--overlap", type=int, default=2)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="full_scale")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     checked = reference_applies(args)
     if not checked:
@@ -51,9 +51,11 @@ def main():
         code, data = run_single(cfg, Path(args.out) / method)
         elapsed = time.perf_counter() - t0
         outer = data["outer_iters"]
+        # None when the run failed before its first Newton step
+        gmres = data["avg_gmres_iters"]
+        avg_gmres = "n/a" if gmres is None else f"{gmres:.1f}"
         print(f"{method}: converged={data['converged']} outer={outer} "
-              f"avg_gmres={data['avg_gmres_iters']:.1f} [{elapsed:.0f}s]",
-              flush=True)
+              f"avg_gmres={avg_gmres} [{elapsed:.0f}s]", flush=True)
         if code != 0:
             print(f"  solver failure: {data['failure']}")
             failures += 1

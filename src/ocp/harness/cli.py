@@ -9,35 +9,17 @@ study).  Exit codes: 0 success, 2 configuration error, 3 solver failure,
 import argparse
 import sys
 
-from .config import ConfigError, build_config, load_config_file, parse_subdomains
+from ..grid import NonfiniteFieldError
+from .config import FLAT_KEYS, ConfigError, build_config, load_config_file, parse_flat
 from .experiments import rate_study, run_single, run_table, sparsity_study
-
-_OVERRIDE_KEYS = ("method", "n", "overlap", "eps0", "eps_min", "gamma",
-                  "sigma", "tol", "inner_tol", "kappa", "nu", "mu", "k_tilde",
-                  "seed", "threads", "linear_solver", "gmres_tol", "max_outer")
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--method")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--subdomains", metavar="RxC")
-    parser.add_argument("--overlap", type=int)
-    parser.add_argument("--eps0", type=float)
-    parser.add_argument("--eps-min", type=float, dest="eps_min")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--inner-tol", type=float, dest="inner_tol")
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--k-tilde", type=int, dest="k_tilde")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--linear-solver", dest="linear_solver")
-    parser.add_argument("--gmres-tol", type=float, dest="gmres_tol")
-    parser.add_argument("--max-outer", type=int, dest="max_outer")
+    # one flag per flat config key; values go through the config file parser
+    for key in FLAT_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            metavar="RxC" if key == "subdomains" else None)
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -54,12 +36,10 @@ def _float_list(text):
 def _config_from_args(args):
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
+    for key in FLAT_KEYS:
+        value = getattr(args, key)
         if value is not None:
-            overrides[key] = value
-    if args.subdomains is not None:
-        overrides["s1"], overrides["s2"] = parse_subdomains(args.subdomains)
+            overrides.update(parse_flat(key, value))
     return build_config(file_values, overrides)
 
 
@@ -139,6 +119,11 @@ def main(argv=None):
         print(f"sparsity study n={args.n}: {len(rows)} cells; "
               f"wrote {args.out}/sparsity.csv")
         return 0
+    except NonfiniteFieldError as exc:
+        # a ValueError raised by the numerics (e.g. an overflowing phi'(y)),
+        # so it must be caught before the usage errors below
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         # ConfigError and bad study parameters: usage problems, not solver ones
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 Config files hold one key=value pair per line (# starts a comment); keys use
 the flag spelling with underscores, subdomains as "RxC".  CLI flags override
-file values, which override the defaults below.
+file values, which override the defaults below.  Both front ends read their
+keys and value types off the ExperimentConfig fields, so a new field needs no
+other edit.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 METHODS = ("newton", "newton-eps", "newton-ras", "newton-ras-eps",
            "raspen", "raspen-eps")
@@ -33,7 +35,6 @@ class ExperimentConfig:
     nu: float = 1e-6
     mu: float = 1.0
     k_tilde: int = 5
-    seed: int = 0
     threads: int = 1
     linear_solver: str = "auto"
     gmres_tol: float = 1e-8
@@ -89,10 +90,11 @@ class ExperimentConfig:
         return f"{self.s1}x{self.s2}"
 
 
-_INT_KEYS = {"n", "overlap", "k_tilde", "seed", "threads", "max_outer"}
-_FLOAT_KEYS = {"eps0", "gamma", "eps_min", "tol", "sigma", "inner_tol",
-               "kappa", "nu", "mu", "gmres_tol"}
-_STR_KEYS = {"method", "linear_solver"}
+# the flat spelling shared by config files and CLI flags: every field under
+# its own name, except s1 and s2, which are written together as subdomains
+FLAT_KEYS = tuple("subdomains" if f.name == "s1" else f.name
+                  for f in fields(ExperimentConfig) if f.name != "s2")
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_subdomains(text):
@@ -106,20 +108,17 @@ def parse_subdomains(text):
     return s1, s2
 
 
-def _convert(key, value):
-    try:
-        if key in _INT_KEYS:
-            return {key: int(value)}
-        if key in _FLOAT_KEYS:
-            return {key: float(value)}
-        if key in _STR_KEYS:
-            return {key: value}
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+def parse_flat(key, text):
+    """Field values of one flat key=value pair, as a dict."""
+    if key not in FLAT_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
     if key == "subdomains":
-        s1, s2 = parse_subdomains(value)
+        s1, s2 = parse_subdomains(text)
         return {"s1": s1, "s2": s2}
-    raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return {key: _FIELD_TYPES[key](text)}
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text!r}") from exc
 
 
 def load_config_file(path):
@@ -133,7 +132,7 @@ def load_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values.update(_convert(key, value))
+            values.update(parse_flat(key, value))
     return values
 
 
@@ -142,8 +141,7 @@ def build_config(file_values=None, overrides=None):
     merged = {}
     merged.update(file_values or {})
     merged.update(overrides or {})
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - known
+    unknown = set(merged) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**merged)
@@ -151,34 +149,11 @@ def build_config(file_values=None, overrides=None):
 
 def config_to_text(cfg):
     """Flat key=value rendering that load_config_file parses back exactly."""
-    lines = [
-        f"method = {cfg.method}",
-        f"n = {cfg.n}",
-        f"subdomains = {cfg.subdomains}",
-        f"overlap = {cfg.overlap}",
-        f"eps0 = {cfg.eps0!r}",
-        f"gamma = {cfg.gamma!r}",
-        f"eps_min = {cfg.eps_min!r}",
-        f"tol = {cfg.tol!r}",
-        f"sigma = {cfg.sigma!r}",
-        f"inner_tol = {cfg.inner_tol!r}",
-        f"kappa = {cfg.kappa!r}",
-        f"nu = {cfg.nu!r}",
-        f"mu = {cfg.mu!r}",
-        f"k_tilde = {cfg.k_tilde}",
-        f"seed = {cfg.seed}",
-        f"threads = {cfg.threads}",
-        f"linear_solver = {cfg.linear_solver}",
-        f"gmres_tol = {cfg.gmres_tol!r}",
-        f"max_outer = {cfg.max_outer}",
-    ]
-    return "\n".join(lines) + "\n"
+    # str of a float is its shortest round-trip repr
+    return "".join(f"{key} = {getattr(cfg, key)}\n" for key in FLAT_KEYS)
 
 
 def config_to_dict(cfg):
     """JSON-friendly echo of every config field for report emission."""
     return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
-
-def with_updates(cfg, **kwargs):
-    return replace(cfg, **kwargs)

@@ -8,19 +8,21 @@ of interest.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ..grid import Grid, write_field_csv
 from ..krylov import KrylovConfig
-from ..newton import ContinuationSchedule, NewtonConfig, newton_continuation
+from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
+                      newton_continuation)
 from ..schwarz import (build_local_systems, decompose, ras_preconditioner,
                        raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, recover_control, residual, split_pair,
                       sparsity_target_problem)
-from .config import config_to_dict, with_updates
+from .config import config_to_dict
 from .reports import (BenchmarkRow, report_to_dict, write_benchmark_csv,
                       write_pairs_csv, write_report_json,
                       write_residual_history_csv)
@@ -64,7 +66,7 @@ def solve_single(cfg, spec=None):
         dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
         return (*raspen_solve(
             x0, dec, spec, sched,
-            cfg=NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma),
+            cfg=NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer),
             krylov_cfg=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=1000),
             inner_tol=cfg.inner_tol, threads=cfg.threads,
             continuation=cfg.uses_continuation), spec)
@@ -131,14 +133,9 @@ def _benchmark_row(cfg, report):
 def _run_cell(cfg):
     try:
         _, report, _ = solve_single(cfg)
-        return _benchmark_row(cfg, report)
     except Exception as exc:
-        return BenchmarkRow(
-            method=cfg.method, n=cfg.n, subdomains=cfg.subdomains,
-            eps_min=cfg.eps_min, nu=cfg.nu, mu=cfg.mu, gamma=cfg.gamma,
-            eps0=cfg.eps0, outer_iters=0, avg_inner_iters=None,
-            avg_gmres_iters=None, wall_time_s=0.0, converged=False,
-            failure=str(exc))
+        report = SolveReport(False, 0, failure=str(exc))
+    return _benchmark_row(cfg, report)
 
 
 def _cell_config(base, method, eps_min, **extra):
@@ -148,8 +145,8 @@ def _cell_config(base, method, eps_min, **extra):
         eps0 = max(base.eps0, eps_min)
     else:
         eps0 = eps_min
-    return with_updates(base, method=method, eps_min=eps_min, eps0=eps0,
-                        linear_solver="auto", **extra)
+    return replace(base, method=method, eps_min=eps_min, eps0=eps0,
+                   linear_solver="auto", **extra)
 
 
 def _ras_shape(base):
@@ -166,8 +163,8 @@ def table_cells(table_id, base):
                 for eps in EPS_TABLE_MONO]
     if table_id == "gmres":
         shape = _ras_shape(base)
-        cells = [with_updates(_cell_config(base, method, eps, s1=1, s2=1),
-                              linear_solver="gmres")
+        cells = [replace(_cell_config(base, method, eps, s1=1, s2=1),
+                         linear_solver="gmres")
                  for method in ("newton", "newton-eps")
                  for eps in EPS_TABLE_MONO]
         cells += [_cell_config(base, method, eps, **shape)
@@ -194,7 +191,7 @@ def table_cells(table_id, base):
             for method in ("raspen-eps", "newton-ras-eps"):
                 for gamma in SWEEP_GAMMAS:
                     for eps0 in SWEEP_EPS0:
-                        cells.append(with_updates(
+                        cells.append(replace(
                             _cell_config(base, method, base.eps_min,
                                          nu=nu, mu=mu, **shape),
                             gamma=gamma, eps0=max(eps0, base.eps_min)))

@@ -7,8 +7,9 @@ key; everything outside "timing" is deterministic for a fixed config.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 SCHEMA_VERSION = 1
 
@@ -95,9 +96,18 @@ class BenchmarkRow:
     failure: str | None = None
 
 
-BENCHMARK_COLUMNS = ["method", "n", "subdomains", "eps_min", "nu", "mu",
-                     "gamma", "eps0", "outer_iters", "avg_inner_iters",
-                     "avg_gmres_iters", "wall_time_s", "converged", "failure"]
+BENCHMARK_COLUMNS = [f.name for f in fields(BenchmarkRow)]
+_BENCHMARK_TYPES = {f.name: f.type for f in fields(BenchmarkRow)}
+
+
+def _parse_cell(kind, text):
+    """Inverse of _fmt for a value of the annotated type kind."""
+    options = get_args(kind)
+    if type(None) in options:
+        if text == "":
+            return None
+        kind = options[0]
+    return text == "True" if kind is bool else kind(text)
 
 
 def write_benchmark_csv(path, rows):
@@ -109,26 +119,10 @@ def write_benchmark_csv(path, rows):
 
 
 def read_benchmark_csv(path):
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(BenchmarkRow(
-                method=record["method"],
-                n=int(record["n"]),
-                subdomains=record["subdomains"],
-                eps_min=float(record["eps_min"]),
-                nu=float(record["nu"]),
-                mu=float(record["mu"]),
-                gamma=float(record["gamma"]),
-                eps0=float(record["eps0"]),
-                outer_iters=int(record["outer_iters"]),
-                avg_inner_iters=float(record["avg_inner_iters"]) if record["avg_inner_iters"] else None,
-                avg_gmres_iters=float(record["avg_gmres_iters"]) if record["avg_gmres_iters"] else None,
-                wall_time_s=float(record["wall_time_s"]),
-                converged=record["converged"] == "True",
-                failure=record["failure"] or None,
-            ))
-    return rows
+        return [BenchmarkRow(**{col: _parse_cell(_BENCHMARK_TYPES[col], text)
+                                for col, text in record.items()})
+                for record in csv.DictReader(fh)]
 
 
 def write_pairs_csv(path, header, pairs):

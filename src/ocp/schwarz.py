@@ -9,9 +9,10 @@ Three layers on top of a rectangular tiling with m-cell overlap:
     residual, with the Jacobian action assembled from frozen local
     factorizations and applied matrix-free inside GMRES.
 
-Local corrections run as a parallel map over subdomains; recombination writes
-are disjoint by the ownership partition, so the result is independent of
-thread scheduling.  The per-matvec local triangular solves inside the outer
+Each subdomain's local correction and the factorization at its result run as
+one task of a parallel map over subdomains; recombination writes are disjoint
+by the ownership partition, so the result is independent of thread
+scheduling.  The per-matvec local triangular solves inside the outer
 GMRES are microseconds at the scales handled here and stay sequential.
 """
 
@@ -26,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .grid import Grid
 from .krylov import KrylovConfig
 from .newton import ContinuationSchedule, NewtonConfig, SolveReport, newton_continuation
-from .system import jacobian_diagonals, residual_rows, split_pair
+from .system import pair_jacobian, residual_rows, split_pair
 
 
 class LocalSolveError(RuntimeError):
@@ -163,14 +164,6 @@ def build_local_systems(dec, spec):
     return systems
 
 
-def _local_pair_jacobian(loc, v, spec, eps):
-    size = loc.f_loc.shape[0]
-    y, p = v[:size], v[size:]
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
-    a11 = loc.a_loc + sp.diags(dphi_y)
-    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
-
-
 def _local_problem(loc, spec, x):
     """Residual/Jacobian closures of the frozen-exterior local system."""
     size = loc.f_loc.shape[0]
@@ -186,18 +179,28 @@ def _local_problem(loc, spec, x):
         return np.concatenate([r1, r2])
 
     def local_jacobian(v, eps):
-        return _local_pair_jacobian(loc, v, spec, eps)
+        return pair_jacobian(loc.a_loc, *split_pair(v), spec, eps)
 
     return local_residual, local_jacobian
 
 
-def _solve_local(i, sub, loc, spec, x, sched, cfg):
+def _factor_local(i, loc, v, spec, eps):
+    """Local block Jacobian of subdomain i at local values v, and its LU."""
+    jac_loc = pair_jacobian(loc.a_loc, *split_pair(v), spec, eps)
+    try:
+        return jac_loc, spla.splu(jac_loc.tocsc())
+    except RuntimeError as exc:
+        raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
+
+
+def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
+    """Frozen-exterior Newton solve on subdomain i, then the LU at its result."""
     res, jac = _local_problem(loc, spec, x)
-    v0 = x[sub.pair_idx]
-    v, report = newton_continuation(v0, res, jac, sched, cfg)
+    v, report = newton_continuation(x[sub.pair_idx], res, jac, sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
-    return v, report.outer_iters
+    jac_loc, lu = _factor_local(i, loc, v, spec, eps)
+    return v, report.outer_iters, jac_loc, lu
 
 
 def _parallel_map(fn, items, threads):
@@ -208,26 +211,11 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(lambda item: fn(*item), items))
 
 
-def local_correction(i, x, dec, spec, eps, inner_cfg=None, inner_sched=None,
-                     systems=None):
-    """Local values solving the frozen-exterior system on subdomain i."""
-    systems = systems if systems is not None else build_local_systems(dec, spec)
-    cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
-    sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
-    v, _ = _solve_local(i, dec.subdomains[i], systems[i], spec, x, sched, cfg)
-    return v
-
-
 def ras_preconditioner(x, dec, spec, eps, systems=None):
     """One-level RAS on the current Jacobian as a left-preconditioner callable."""
     systems = systems if systems is not None else build_local_systems(dec, spec)
-    lus = []
-    for i, (sub, loc) in enumerate(zip(dec.subdomains, systems)):
-        jac_loc = _local_pair_jacobian(loc, x[sub.pair_idx], spec, eps)
-        try:
-            lus.append(spla.splu(jac_loc.tocsc()))
-        except RuntimeError as exc:
-            raise LocalSolveError(i, f"singular local block: {exc}") from exc
+    lus = [_factor_local(i, loc, x[sub.pair_idx], spec, eps)[1]
+           for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
 
     def apply(v):
         out = np.zeros_like(v)
@@ -239,36 +227,16 @@ def ras_preconditioner(x, dec, spec, eps, systems=None):
     return apply
 
 
-def ras_precondition(v, x, dec, spec, eps):
-    """Single application of the RAS preconditioner (convenience wrapper)."""
-    return ras_preconditioner(x, dec, spec, eps)(v)
-
-
 def _scatter_own(dec, values, out):
     for sub, v in zip(dec.subdomains, values):
         out[sub.pair_own] = v[sub.pair_own_in_local]
     return out
 
 
-def ras_fixed_point_step(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
-                         threads=None, systems=None):
-    """One nonlinear RAS sweep: solve all subdomains, recombine by ownership."""
-    systems = systems if systems is not None else build_local_systems(dec, spec)
-    cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
-    sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
-    results = _parallel_map(
-        _solve_local,
-        [(i, sub, loc, spec, x, sched, cfg)
-         for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))],
-        threads)
-    return _scatter_own(dec, [v for v, _ in results], np.zeros_like(x))
-
-
 @dataclass
 class CorrectionSet:
     """Cached subdomain solves for one iterate, reused by the Jacobian action."""
 
-    token: int
     x: np.ndarray
     eps: float
     f_val: np.ndarray
@@ -279,48 +247,33 @@ class CorrectionSet:
     systems: list = field(repr=False, default=None)
 
 
-_token_counter = [0]
-
-
 def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
                     threads=None, systems=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
-    The returned residual is scatter_own(local values) - x, which equals the
-    ownership recombination of the local displacements since the ownership
-    sets partition the index set.
+    Each subdomain task solves its frozen-exterior system and factors its
+    local Jacobian at the result, so one parallel pass yields both the
+    residual and everything the Jacobian action needs.  The returned
+    residual is scatter_own(local values) - x, which equals the ownership
+    recombination of the local displacements since the ownership sets
+    partition the index set; corrections.values[i] is subdomain i's local
+    correction and f_val + x one nonlinear RAS sweep.
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
     sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
 
     results = _parallel_map(
-        _solve_local,
-        [(i, sub, loc, spec, x, sched, cfg)
+        _solve_and_factor,
+        [(i, sub, loc, spec, x, eps, sched, cfg)
          for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))],
         threads)
-    values = [v for v, _ in results]
-    inner_iters = [k for _, k in results]
-
-    def factor(i, sub, loc):
-        jac_loc = _local_pair_jacobian(loc, values[i], spec, eps)
-        try:
-            return jac_loc, spla.splu(jac_loc.tocsc())
-        except RuntimeError as exc:
-            raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
-
-    factored = _parallel_map(
-        factor,
-        [(i, sub, loc) for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))],
-        threads)
+    values, inner_iters, jac_locs, lus = (list(column) for column in zip(*results))
 
     f_val = _scatter_own(dec, values, np.zeros_like(x)) - x
-    _token_counter[0] += 1
     corrections = CorrectionSet(
-        token=_token_counter[0], x=x.copy(), eps=eps, f_val=f_val,
-        values=values, jac_locs=[j for j, _ in factored],
-        lus=[lu for _, lu in factored], inner_iters=inner_iters,
-        systems=systems)
+        x=x.copy(), eps=eps, f_val=f_val, values=values, jac_locs=jac_locs,
+        lus=lus, inner_iters=inner_iters, systems=systems)
     return f_val, corrections
 
 
@@ -347,14 +300,13 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
 
 def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
                  inner_tol=1e-8, inner_max_outer=200, threads=None,
-                 continuation=True, backtracking=False):
+                 continuation=True):
     """Outer Newton on the fixed-point residual at eps_min, full steps.
 
     The eps-continuation schedule applies only inside the first evaluation's
     subdomain solves (the only ones that start far from their solutions);
     every later evaluation solves the local systems directly at eps_min.
-    The optional backtracking flag reuses the damped line search of the
-    monolithic solver; it is off by default and not part of the plain method.
+    The outer line search accepts every step (sigma = inf).
     """
     cfg = cfg if cfg is not None else NewtonConfig()
     krylov_cfg = krylov_cfg if krylov_cfg is not None else KrylovConfig(
@@ -396,7 +348,7 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
 
     outer_cfg = NewtonConfig(
         tol=cfg.tol, max_outer=cfg.max_outer,
-        sigma=cfg.sigma if backtracking else float("inf"),
+        sigma=float("inf"),
         max_halvings=cfg.max_halvings, linear_solver=krylov_cfg)
     try:
         x, report = newton_continuation(

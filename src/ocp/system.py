@@ -152,11 +152,21 @@ def residual(x: np.ndarray, spec: ProblemSpec, eps: float,
     return merge_pair(r1, r2)
 
 
-def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> sp.csr_matrix:
-    y, p = split_pair(x)
+def pair_jacobian(a, y: np.ndarray, p: np.ndarray, spec: ProblemSpec,
+                  eps: float) -> sp.csr_matrix:
+    """Assembled Jacobian [[a + D1, D12], [D21, a + D1]] at the pair (y, p).
+
+    The operator comes from the caller, as in residual_rows, so the global
+    system (a = spec.a) and each local subdomain system (its a_loc) share
+    this one assembly.
+    """
     dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
-    a11 = spec.a + sp.diags(dphi_y)
+    a11 = a + sp.diags(dphi_y)
     return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
+
+
+def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> sp.csr_matrix:
+    return pair_jacobian(spec.a, *split_pair(x), spec, eps)
 
 
 def jacobian_apply(x: np.ndarray, d: np.ndarray, spec: ProblemSpec,

@@ -1,16 +1,17 @@
 """Configuration, artifact round trips, table protocols, and CLI exit codes."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ocp.grid import Grid, read_field_csv
-from ocp.harness.cli import main
-from ocp.harness.config import (ConfigError, ExperimentConfig, build_config,
+from ocp.grid import Grid, NonfiniteFieldError, read_field_csv
+from ocp.harness.cli import _config_from_args, build_parser, main
+from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
+                                ExperimentConfig, build_config,
                                 config_to_dict, config_to_text,
-                                load_config_file, parse_subdomains,
-                                with_updates)
+                                load_config_file, parse_subdomains)
 from ocp.harness.experiments import (EPS_TABLE_MONO, rate_study, run_single,
                                      run_table, solve_single,
                                      sparsity_fraction, sparsity_study,
@@ -37,10 +38,39 @@ class TestConfig:
 
     def test_text_round_trip(self, tmp_path):
         cfg = mild_config(method="raspen-eps", s1=2, s2=3, overlap=1,
-                          eps_min=1e-7, gmres_tol=1e-9, seed=42)
+                          eps_min=1e-7, gmres_tol=1e-9)
         path = tmp_path / "run.cfg"
         path.write_text(config_to_text(cfg))
         assert build_config(load_config_file(path)) == cfg
+
+    def test_every_field_reaches_every_front_end(self, tmp_path):
+        # the file format, the CLI flags and the report echo are all derived
+        # from the dataclass fields; a non-default value of each field must
+        # pass through all three, so a new field cannot be left out
+        defaults = ExperimentConfig()
+        choices = {"method": METHODS, "linear_solver": LINEAR_SOLVERS}
+        path = tmp_path / "run.cfg"
+        for f in fields(ExperimentConfig):
+            default = getattr(defaults, f.name)
+            if f.name in choices:
+                value = next(c for c in choices[f.name] if c != default)
+            elif isinstance(default, int):
+                value = default + 1
+            else:
+                value = default * 1.5
+            cfg = replace(defaults, **{f.name: value})
+
+            path.write_text(config_to_text(cfg))
+            assert build_config(load_config_file(path)) == cfg, f.name
+
+            if f.name in ("s1", "s2"):
+                argv = ["--subdomains", cfg.subdomains]
+            else:
+                argv = ["--" + f.name.replace("_", "-"), str(value)]
+            args = build_parser().parse_args(["solve", *argv])
+            assert _config_from_args(args) == cfg, f.name
+
+            assert config_to_dict(cfg)[f.name] == value
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -198,8 +228,8 @@ class TestRunTable:
         base = mild_config()
         _, rows = run_table("mono", base, tmp_path / "table")
         cell = rows[0]
-        cfg = with_updates(base, method="newton", eps_min=1.0, eps0=1.0,
-                           linear_solver="auto")
+        cfg = replace(base, method="newton", eps_min=1.0, eps0=1.0,
+                      linear_solver="auto")
         _, data = run_single(cfg, tmp_path / "single")
         assert cell.outer_iters == data["outer_iters"]
         assert cell.converged == data["converged"]
@@ -321,6 +351,18 @@ class TestCli:
         code = main(["solve", "--method", "newton", "--n", "12",
                      "--max-outer", "1", "--out", str(tmp_path)])
         assert code == 3
+
+    def test_nonfinite_field_is_solver_failure(self, tmp_path, monkeypatch,
+                                               capsys):
+        # NonfiniteFieldError is a ValueError, but an overflow in the
+        # numerics is a solver failure, not a usage error
+        def overflow(cfg, out_dir):
+            raise NonfiniteFieldError("phi'(y)", 7)
+
+        monkeypatch.setattr("ocp.harness.cli.run_single", overflow)
+        code = main(["solve", "--out", str(tmp_path)])
+        assert code == 3
+        assert "solver failure" in capsys.readouterr().err
 
     def test_table_exit_codes(self, tmp_path):
         code = main(["table", "raspen", "--n", "12", "--nu", "1e-2",

@@ -7,12 +7,12 @@ import scipy.sparse as sp
 from ocp.grid import Grid
 from ocp.krylov import KrylovConfig, gmres
 from ocp.newton import ContinuationSchedule, NewtonConfig, newton_continuation
-from ocp.schwarz import (LocalSolveError, _local_pair_jacobian, _local_problem,
-                         _tile_edges, build_local_systems, decompose,
-                         local_correction, ras_fixed_point_step,
-                         ras_precondition, ras_preconditioner, raspen_jacobian_apply,
-                         raspen_residual, raspen_solve)
-from ocp.system import construct_test_problem, jacobian, residual
+import ocp.schwarz as schwarz
+from ocp.schwarz import (LocalSolveError, _local_problem, _tile_edges,
+                         build_local_systems, decompose, ras_preconditioner,
+                         raspen_jacobian_apply, raspen_residual, raspen_solve)
+from ocp.system import (construct_test_problem, jacobian, pair_jacobian,
+                        residual, split_pair)
 
 
 def mild_problem(n):
@@ -158,7 +158,8 @@ class TestLocalSystems:
         jac_glob = jacobian(x, spec, 1e-2).tocsr()
         for sub, loc in zip(dec.subdomains, systems):
             restricted = jac_glob[sub.pair_idx, :][:, sub.pair_idx]
-            local = _local_pair_jacobian(loc, x[sub.pair_idx], spec, 1e-2)
+            local = pair_jacobian(loc.a_loc, *split_pair(x[sub.pair_idx]),
+                                  spec, 1e-2)
             diff = (restricted - local).tocoo()
             assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -185,16 +186,6 @@ class TestRasPreconditioner:
         result = gmres(lambda v: jac @ v, b, KrylovConfig(rel_tol=1e-10),
                        precond=apply_m)
         assert result.converged and result.iters == 1
-
-    def test_wrapper_matches_builder(self):
-        grid, spec = mild_problem(8)
-        dec = decompose(grid, 2, 2, 1)
-        rng = np.random.default_rng(9)
-        x = 0.1 * rng.standard_normal(2 * grid.size)
-        v = rng.standard_normal(2 * grid.size)
-        np.testing.assert_array_equal(
-            ras_precondition(v, x, dec, spec, 1e-2),
-            ras_preconditioner(x, dec, spec, 1e-2)(v))
 
     def test_application_is_linear(self):
         grid, spec = mild_problem(8)
@@ -223,13 +214,16 @@ class TestRasPreconditioner:
 
 
 class TestLocalCorrection:
+    # raspen_residual is the one local-solve path: corr.values[i] is the
+    # local correction of subdomain i and f_val + x one nonlinear RAS sweep
+
     def test_values_restrict_global_solution(self, mild16):
         grid, spec, dec, x_sol = mild16
         systems = build_local_systems(dec, spec)
-        for i, sub in enumerate(dec.subdomains):
-            v = local_correction(i, x_sol, dec, spec, 1e-2,
-                                 inner_cfg=NewtonConfig(tol=1e-12),
-                                 systems=systems)
+        _, corr = raspen_residual(x_sol, dec, spec, 1e-2,
+                                  inner_cfg=NewtonConfig(tol=1e-12),
+                                  systems=systems)
+        for sub, v in zip(dec.subdomains, corr.values):
             assert np.abs(v - x_sol[sub.pair_idx]).max() <= 1e-8
 
     def test_solves_frozen_exterior_system(self, mild16):
@@ -237,17 +231,18 @@ class TestLocalCorrection:
         systems = build_local_systems(dec, spec)
         rng = np.random.default_rng(21)
         x = x_sol + 0.5 * rng.standard_normal(x_sol.shape)
+        _, corr = raspen_residual(x, dec, spec, 1e-2, systems=systems)
         for i, sub in enumerate(dec.subdomains):
             res, _ = _local_problem(systems[i], spec, x)
-            v = local_correction(i, x, dec, spec, 1e-2, systems=systems)
             before = np.linalg.norm(res(x[sub.pair_idx], 1e-2))
-            after = np.linalg.norm(res(v, 1e-2))
+            after = np.linalg.norm(res(corr.values[i], 1e-2))
             assert after <= 1.1e-8 * max(1.0, before)
 
     def test_solution_is_sweep_fixed_point(self, mild16):
         grid, spec, dec, x_sol = mild16
-        x_next = ras_fixed_point_step(x_sol, dec, spec, 1e-2,
-                                      inner_cfg=NewtonConfig(tol=1e-12))
+        f_val, _ = raspen_residual(x_sol, dec, spec, 1e-2,
+                                   inner_cfg=NewtonConfig(tol=1e-12))
+        x_next = f_val + x_sol
         assert np.abs(x_next - x_sol).max() <= 1e-8
 
     def test_sweeps_contract_toward_solution(self, mild16):
@@ -257,12 +252,58 @@ class TestLocalCorrection:
         err0 = np.abs(x - x_sol).max()
         errs = []
         for _ in range(60):
-            x = ras_fixed_point_step(x, dec, spec, 1e-2, systems=systems)
+            f_val, _ = raspen_residual(x, dec, spec, 1e-2, systems=systems)
+            x = f_val + x
             errs.append(np.abs(x - x_sol).max())
             if errs[-1] <= 1e-8 * err0:
                 break
         assert errs[-1] <= 1e-4 * err0
         assert errs[min(9, len(errs) - 1)] < err0
+
+
+class TestLocalFactorFailure:
+    # Grid(11) in 1x3 tiles with overlap 1 gives subdomains of 4, 5 and 6
+    # columns, so the size of a local block names its subdomain
+    @pytest.fixture
+    def failing_splu(self, monkeypatch):
+        grid, spec = mild_problem(11)
+        dec = decompose(grid, 1, 3, 1)
+        sizes = [2 * sub.size for sub in dec.subdomains]
+        assert len(set(sizes)) == 3
+
+        def patch(bad):
+            real = schwarz.spla
+
+            class FailingSpla:
+                def __getattr__(self, key):
+                    return getattr(real, key)
+
+                @staticmethod
+                def splu(matrix):
+                    if matrix.shape[0] == sizes[bad]:
+                        raise RuntimeError("Factor is exactly singular")
+                    return real.splu(matrix)
+
+            monkeypatch.setattr(schwarz, "spla", FailingSpla())
+        return grid, spec, dec, patch
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_ras_preconditioner_names_subdomain(self, failing_splu, bad):
+        grid, spec, dec, patch = failing_splu
+        patch(bad)
+        with pytest.raises(LocalSolveError, match="singular") as info:
+            ras_preconditioner(np.zeros(2 * grid.size), dec, spec, 1e-2)
+        assert info.value.subdomain == bad
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_raspen_residual_names_subdomain(self, failing_splu, bad, threads):
+        grid, spec, dec, patch = failing_splu
+        patch(bad)
+        with pytest.raises(LocalSolveError, match="singular") as info:
+            raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
+                            threads=threads)
+        assert info.value.subdomain == bad
 
 
 class TestRaspen:
