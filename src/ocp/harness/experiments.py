@@ -79,10 +79,12 @@ def solve_single(cfg, spec=None):
         newton_cfg = NewtonConfig(
             tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
             linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=2000))
+        lu_fallbacks = []
         precond_builder = lambda x, eps: ras_preconditioner(x, dec, spec, eps,
-                                                            systems)
+                                                            systems, lu_fallbacks)
         x, report = newton_continuation(x0, residual_fn, jacobian_fn, sched,
                                         newton_cfg, precond_builder=precond_builder)
+        report.lu_fallbacks += sum(lu_fallbacks)
         return x, report, spec
 
     newton_cfg = NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer,

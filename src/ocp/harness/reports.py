@@ -37,6 +37,7 @@ def report_to_dict(cfg_dict, report, sparsity_fraction=None):
         "avg_gmres_iters": report.avg_gmres_iters,
         "avg_inner_iters": report.avg_inner_iters,
         "failure": report.failure,
+        "lu_fallbacks": int(report.lu_fallbacks),
         "timing": {"wall_time_s": float(report.wall_time)},
     }
     if sparsity_fraction is not None:

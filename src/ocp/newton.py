@@ -17,12 +17,20 @@ import scipy.sparse.linalg as spla
 from .krylov import KrylovConfig, gmres
 
 
-class LineSearchError(RuntimeError):
+class SolverFault(RuntimeError):
+    """A solve that cannot go on; the Newton core records it as the failure."""
+
+
+class LineSearchError(SolverFault):
     """No admissible step length within the halving budget."""
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(SolverFault):
     """The Newton direction solve failed or did not converge."""
+
+
+# bound on the relative residual of the probe that accepts an unpivoted factor
+LU_PROBE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,7 @@ class SolveReport:
     threshold: float = 0.0
     wall_time: float = 0.0
     failure: str | None = None
+    lu_fallbacks: int = 0
 
     @property
     def total_linear_iters(self):
@@ -112,8 +121,33 @@ def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm=None):
         f"(residual {current_norm:.3e})")
 
 
+def sparse_lu(jac, splu):
+    """SuperLU factor of the CSC matrix jac; returns (factor, fallbacks).
+
+    The coupled Jacobians have a symmetric pattern, so the first try is
+    SuperLU's symmetric mode: minimum degree on the pattern of A^T + A and
+    diagonal pivots, which fills far less than COLAMD with partial pivoting.
+    Without pivoting the factor may be inaccurate, so it is kept only if it
+    solves jac z = jac @ ones to a relative residual of LU_PROBE_TOL.
+    Otherwise, or if that factorization raises, jac is refactored with
+    splu's defaults and fallbacks is 1; a singular jac raises from there.
+    """
+    try:
+        lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options=dict(SymmetricMode=True))
+        b = jac @ np.ones(jac.shape[0])
+        with np.errstate(all="ignore"):
+            probe = np.linalg.norm(jac @ lu.solve(b) - b) / np.linalg.norm(b)
+        if probe <= LU_PROBE_TOL:
+            return lu, 0
+    except RuntimeError:
+        pass
+    return splu(jac), 1
+
+
 def _solve_direction(jac, rhs, linear_solver, precond):
-    """Newton direction solve; returns (direction, gmres iterations or None)."""
+    """Newton direction solve; returns (direction, gmres iterations or None,
+    LU fallbacks)."""
     if isinstance(linear_solver, KrylovConfig):
         apply_op = jac if callable(jac) else (lambda v: jac @ v)
         result = gmres(apply_op, rhs, linear_solver, precond=precond)
@@ -121,12 +155,13 @@ def _solve_direction(jac, rhs, linear_solver, precond):
             raise LinearSolveError(
                 f"GMRES stalled at residual {result.residual:.3e} "
                 f"after {result.iters} iterations")
-        return result.x, result.iters
+        return result.x, result.iters, 0
     if linear_solver == "direct":
         try:
-            return spla.splu(jac.tocsc()).solve(rhs), None
+            lu, fallbacks = sparse_lu(jac.tocsc(), spla.splu)
         except RuntimeError as exc:
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        return lu.solve(rhs), None, fallbacks
     raise ValueError(f"unknown linear solver {linear_solver!r}")
 
 
@@ -136,7 +171,9 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (direct
     mode) or operator for GMRES; precond_builder(x, eps) -> left preconditioner
     callable, rebuilt every outer iteration.  Stopping threshold is
-    max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.
+    max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.  A
+    SolverFault after the initial evaluation ends the solve as a failed report
+    that keeps the iterate and history reached.
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float, copy=True)
@@ -159,16 +196,19 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
         try:
             jac = jacobian_fn(x, eps)
             precond = precond_builder(x, eps) if precond_builder is not None else None
-            d, lin_iters = _solve_direction(jac, -r, cfg.linear_solver, precond)
+            d, lin_iters, fallbacks = _solve_direction(jac, -r, cfg.linear_solver,
+                                                       precond)
+            report.lu_fallbacks += fallbacks
             alpha, accepted = backtrack(
                 x, d, lambda z: residual_fn(z, eps), cfg.sigma, cfg.max_halvings,
                 current_norm=nrm)
-        except (LineSearchError, LinearSolveError) as exc:
+            x_next = x + alpha * d
+            eps_next = sched.next_eps(eps)
+            r = residual_fn(x_next, eps_next)
+        except SolverFault as exc:
             report.failure = str(exc)
             break
-        x += alpha * d
-        eps = sched.next_eps(eps)
-        r = residual_fn(x, eps)
+        x, eps = x_next, eps_next
         nrm = float(np.linalg.norm(r))
         report.outer_iters += 1
         report.alphas.append(alpha)

@@ -17,6 +17,7 @@ GMRES are microseconds at the scales handled here and stay sequential.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass, field
 import os
 
@@ -26,11 +27,12 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid
 from .krylov import KrylovConfig
-from .newton import ContinuationSchedule, NewtonConfig, SolveReport, newton_continuation
+from .newton import (ContinuationSchedule, NewtonConfig, SolveReport, SolverFault,
+                     newton_continuation, sparse_lu)
 from .system import pair_jacobian, residual_rows, split_pair
 
 
-class LocalSolveError(RuntimeError):
+class LocalSolveError(SolverFault):
     """A subdomain correction solve failed; carries the subdomain id."""
 
     def __init__(self, subdomain, message):
@@ -185,10 +187,11 @@ def _local_problem(loc, spec, x):
 
 
 def _factor_local(i, loc, v, spec, eps):
-    """Local block Jacobian of subdomain i at local values v, and its LU."""
+    """Local block Jacobian of subdomain i at local values v, its LU and the
+    LU's fallback count."""
     jac_loc = pair_jacobian(loc.a_loc, *split_pair(v), spec, eps)
     try:
-        return jac_loc, spla.splu(jac_loc.tocsc())
+        return jac_loc, *sparse_lu(jac_loc.tocsc(), spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
 
@@ -199,23 +202,42 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
     v, report = newton_continuation(x[sub.pair_idx], res, jac, sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
-    jac_loc, lu = _factor_local(i, loc, v, spec, eps)
-    return v, report.outer_iters, jac_loc, lu
+    jac_loc, lu, fallbacks = _factor_local(i, loc, v, spec, eps)
+    return v, report.outer_iters, jac_loc, lu, report.lu_fallbacks + fallbacks
 
 
-def _parallel_map(fn, items, threads):
-    if threads == 1 or len(items) == 1:
-        return [fn(*item) for item in items]
-    workers = threads if threads else min(len(items), os.cpu_count() or 1)
+@contextlib.contextmanager
+def _subdomain_pool(threads, tasks):
+    """Executor for a map over tasks subdomains, or None to map inline.
+
+    threads=None uses up to cpu_count workers, 1 maps on the calling thread.
+    """
+    if threads == 1 or tasks == 1:
+        yield None
+        return
+    workers = threads if threads else min(tasks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda item: fn(*item), items))
+        yield pool
 
 
-def ras_preconditioner(x, dec, spec, eps, systems=None):
-    """One-level RAS on the current Jacobian as a left-preconditioner callable."""
+def _parallel_map(fn, items, pool):
+    if pool is None:
+        return [fn(*item) for item in items]
+    return list(pool.map(lambda item: fn(*item), items))
+
+
+def ras_preconditioner(x, dec, spec, eps, systems=None, lu_fallbacks=None):
+    """One-level RAS on the current Jacobian as a left-preconditioner callable.
+
+    If lu_fallbacks is a list, the number of local factors that needed the
+    pivoted fallback is appended to it.
+    """
     systems = systems if systems is not None else build_local_systems(dec, spec)
-    lus = [_factor_local(i, loc, x[sub.pair_idx], spec, eps)[1]
-           for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
+    factors = [_factor_local(i, loc, x[sub.pair_idx], spec, eps)
+               for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
+    lus = [lu for _, lu, _ in factors]
+    if lu_fallbacks is not None:
+        lu_fallbacks.append(sum(fallbacks for _, _, fallbacks in factors))
 
     def apply(v):
         out = np.zeros_like(v)
@@ -244,11 +266,12 @@ class CorrectionSet:
     jac_locs: list
     lus: list
     inner_iters: list
+    lu_fallbacks: int
     systems: list = field(repr=False, default=None)
 
 
 def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
-                    threads=None, systems=None):
+                    threads=None, systems=None, pool=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
     Each subdomain task solves its frozen-exterior system and factors its
@@ -257,23 +280,28 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
     residual is scatter_own(local values) - x, which equals the ownership
     recombination of the local displacements since the ownership sets
     partition the index set; corrections.values[i] is subdomain i's local
-    correction and f_val + x one nonlinear RAS sweep.
+    correction and f_val + x one nonlinear RAS sweep.  The tasks run on pool
+    if one is given, else on a _subdomain_pool(threads) opened for this call.
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
     sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
 
-    results = _parallel_map(
-        _solve_and_factor,
-        [(i, sub, loc, spec, x, eps, sched, cfg)
-         for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))],
-        threads)
-    values, inner_iters, jac_locs, lus = (list(column) for column in zip(*results))
+    tasks = [(i, sub, loc, spec, x, eps, sched, cfg)
+             for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
+    if pool is None:
+        with _subdomain_pool(threads, len(tasks)) as own_pool:
+            results = _parallel_map(_solve_and_factor, tasks, own_pool)
+    else:
+        results = _parallel_map(_solve_and_factor, tasks, pool)
+    values, inner_iters, jac_locs, lus, fallbacks = (
+        list(column) for column in zip(*results))
 
     f_val = _scatter_own(dec, values, np.zeros_like(x)) - x
     corrections = CorrectionSet(
         x=x.copy(), eps=eps, f_val=f_val, values=values, jac_locs=jac_locs,
-        lus=lus, inner_iters=inner_iters, systems=systems)
+        lus=lus, inner_iters=inner_iters, lu_fallbacks=sum(fallbacks),
+        systems=systems)
     return f_val, corrections
 
 
@@ -306,7 +334,8 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
     The eps-continuation schedule applies only inside the first evaluation's
     subdomain solves (the only ones that start far from their solutions);
     every later evaluation solves the local systems directly at eps_min.
-    The outer line search accepts every step (sigma = inf).
+    The outer line search accepts every step (sigma = inf).  All evaluations
+    share one _subdomain_pool(threads).
     """
     cfg = cfg if cfg is not None else NewtonConfig()
     krylov_cfg = krylov_cfg if krylov_cfg is not None else KrylovConfig(
@@ -315,7 +344,7 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
     inner_cfg = NewtonConfig(tol=inner_tol, max_outer=inner_max_outer)
     eps_min = sched.eps_min
 
-    state = {"corr": None, "evals": 0, "inner_hist": [], "per_sub": []}
+    state = {"corr": None, "evals": 0, "inner_hist": [], "lu_fallbacks": 0}
 
     def residual_fn(x, eps):
         corr = state["corr"]
@@ -326,11 +355,11 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
         else:
             inner_sched = ContinuationSchedule.fixed(eps)
         f_val, corr = raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched,
-                                      threads, systems)
+                                      threads, systems, pool)
         state["corr"] = corr
         state["evals"] += 1
         state["inner_hist"].append(max(corr.inner_iters))
-        state["per_sub"].append(list(corr.inner_iters))
+        state["lu_fallbacks"] += corr.lu_fallbacks
         return f_val.copy()
 
     def jacobian_fn(x, eps):
@@ -350,14 +379,16 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
         tol=cfg.tol, max_outer=cfg.max_outer,
         sigma=float("inf"),
         max_halvings=cfg.max_halvings, linear_solver=krylov_cfg)
-    try:
-        x, report = newton_continuation(
-            x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
-            outer_cfg)
-    except LocalSolveError as exc:
-        report = SolveReport(False, max(state["evals"] - 1, 0),
-                             inner_iters=list(state["inner_hist"]),
-                             failure=str(exc))
-        return np.array(x0, dtype=float, copy=True), report
+    # newton_continuation records later faults itself; only one in the
+    # initial evaluation, before any iterate, reaches this handler
+    with _subdomain_pool(threads, len(dec)) as pool:
+        try:
+            x, report = newton_continuation(
+                x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
+                outer_cfg)
+        except LocalSolveError as exc:
+            x = np.array(x0, dtype=float, copy=True)
+            report = SolveReport(False, 0, failure=str(exc))
     report.inner_iters = list(state["inner_hist"])
+    report.lu_fallbacks += state["lu_fallbacks"]
     return x, report

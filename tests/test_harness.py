@@ -2,9 +2,11 @@
 
 import json
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ocp.grid import Grid, NonfiniteFieldError, read_field_csv
 from ocp.harness.cli import _config_from_args, build_parser, main
@@ -12,15 +14,17 @@ from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
                                 ExperimentConfig, build_config,
                                 config_to_dict, config_to_text,
                                 load_config_file, parse_subdomains)
-from ocp.harness.experiments import (EPS_TABLE_MONO, rate_study, run_single,
-                                     run_table, solve_single,
-                                     sparsity_fraction, sparsity_study,
-                                     table_cells)
+from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
+                                     rate_study, run_single, run_table,
+                                     solve_single, sparsity_fraction,
+                                     sparsity_study, table_cells)
 from ocp.harness.reports import (BenchmarkRow, read_benchmark_csv,
                                  read_pairs_csv, read_report_json,
-                                 read_residual_history_csv,
+                                 read_residual_history_csv, report_to_dict,
                                  write_benchmark_csv, write_pairs_csv)
+import ocp.newton as newton
 from ocp.newton import SolveReport
+import ocp.schwarz as schwarz
 
 # mild, fast configuration reused by most orchestration tests
 MILD = dict(n=12, nu=1e-2, k_tilde=2, eps_min=1e-3)
@@ -177,6 +181,7 @@ class TestRunSingle:
         assert on_disk["schema"] == 1
         assert on_disk["config"] == config_to_dict(cfg)
         assert on_disk["eps_history"][-1] == cfg.eps_min
+        assert on_disk["lu_fallbacks"] == 0
 
         history = read_residual_history_csv(tmp_path / "residual_history.csv")
         assert [r["residual"] for r in history] == on_disk["residual_history"]
@@ -187,6 +192,45 @@ class TestRunSingle:
         for name in ("y.csv", "p.csv"):
             read_field_csv(tmp_path / name, grid)
         assert sparsity_fraction(u) == on_disk["sparsity_fraction"]
+
+    @pytest.mark.parametrize("method", ["newton-eps", "newton-ras-eps",
+                                        "raspen-eps"])
+    def test_every_lu_fallback_is_counted(self, monkeypatch, method):
+        # symmetric-mode factors that fail their probe, in the monolithic,
+        # RAS-local and RASPEN-local paths, leave exactly the default path
+        cfg = mild_config(method=method, s1=2, s2=2, overlap=1, threads=2)
+        _, spec = build_problem(cfg)
+        x_sym, report_sym, _ = solve_single(cfg, spec)
+        assert report_sym.lu_fallbacks == 0
+        attempts = []
+
+        class Inaccurate:
+            def __init__(self, lu):
+                self.solve = lambda b: lu.solve(b) * (1.0 + 1e-8)
+
+        def default_splu(matrix, **kwargs):
+            return spla.splu(matrix)
+
+        def spoiled_splu(matrix, **kwargs):
+            if not kwargs:
+                return spla.splu(matrix)
+            attempts.append(matrix.shape)
+            return Inaccurate(spla.splu(matrix, **kwargs))
+
+        def solve(splu):
+            stand_in = SimpleNamespace(splu=splu)
+            monkeypatch.setattr(newton, "spla", stand_in)
+            monkeypatch.setattr(schwarz, "spla", stand_in)
+            return solve_single(cfg, spec)
+
+        x_ref, report_ref, _ = solve(default_splu)
+        assert report_ref.lu_fallbacks == 0
+        x, report, _ = solve(spoiled_splu)
+        assert report.converged
+        assert report.lu_fallbacks == len(attempts) > 0
+        assert report_to_dict({}, report)["lu_fallbacks"] == len(attempts)
+        np.testing.assert_array_equal(x, x_ref)
+        assert np.linalg.norm(x - x_sym) <= 1e-10 * np.linalg.norm(x_sym)
 
     def test_degenerate_schedule_has_constant_eps(self, tmp_path):
         cfg = mild_config(method="newton", eps0=1.0, eps_min=1.0)

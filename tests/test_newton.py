@@ -1,10 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from ocp.grid import Grid
 from ocp.krylov import KrylovConfig
-from ocp.newton import (ContinuationSchedule, LineSearchError, NewtonConfig,
-                        backtrack, newton_continuation)
+import ocp.newton as newton
+from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
+                        NewtonConfig, SolverFault, backtrack,
+                        newton_continuation, sparse_lu)
+import ocp.schwarz as schwarz
+from ocp.schwarz import (LocalSolveError, build_local_systems, decompose,
+                         ras_preconditioner, raspen_residual)
+from ocp.system import (construct_test_problem, jacobian, pair_jacobian,
+                        residual, split_pair)
 
 
 def test_schedule_validation():
@@ -171,7 +182,8 @@ def test_singular_jacobian_reports_linear_failure():
         np.ones(1), lambda x, eps: x.copy(), lambda x, eps: sp.csr_matrix((1, 1)),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
-    assert report.failure is not None
+    assert report.failure.startswith("sparse factorization failed")
+    assert report.outer_iters == 0
 
 
 def test_run_is_deterministic():
@@ -197,3 +209,164 @@ def test_nonfinite_initial_guess_rejected():
             np.array([np.nan]), lambda x, eps: x.copy(),
             lambda x, eps: sp.identity(1, format="csr"),
             ContinuationSchedule.fixed(1.0), NewtonConfig())
+
+
+def test_solver_faults_share_one_base():
+    for fault in (LineSearchError, LinearSolveError, LocalSolveError):
+        assert issubclass(fault, SolverFault)
+    assert issubclass(SolverFault, RuntimeError)
+
+
+@pytest.mark.parametrize("failing_call,steps", [(3, 0), (4, 1)])
+def test_fault_keeps_iterate_and_history(failing_call, steps):
+    # call 1 is at x0, call 2 the accepted trial of step 1, call 3 the
+    # residual at the new iterate and call 4 the first trial of step 2
+    calls = []
+
+    def residual_fn(x, eps):
+        calls.append(x.copy())
+        if len(calls) == failing_call:
+            raise SolverFault("local failure")
+        return np.arctan(x)
+
+    def jac(x, eps):
+        return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+
+    x, report = newton_continuation(
+        np.array([1.0]), residual_fn, jac, ContinuationSchedule.fixed(1.0),
+        NewtonConfig())
+    assert not report.converged
+    assert report.failure == "local failure"
+    assert report.outer_iters == steps
+    assert len(report.residual_norms) == steps + 1
+    np.testing.assert_array_equal(x, calls[2 * steps])
+    assert report.residual_norms[-1] == abs(float(np.arctan(x[0])))
+
+
+def stiff_jacobians(n, mu):
+    """Monolithic and 2x2 local Jacobians along a continuation solve of the
+    stiff sweep block nu=1e-8, with the residual at the same iterate."""
+    grid = Grid(n)
+    iterates = []
+
+    def jac(x, eps):
+        iterates.append((x.copy(), eps))
+        return jacobian(x, spec, eps)
+
+    # rejected line-search trials overflow by design
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, _ = construct_test_problem(grid, nu=1e-8, mu=mu)
+        newton_continuation(
+            np.zeros(2 * grid.size),
+            lambda x, eps: residual(x, spec, eps, check=False),
+            jac, ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
+    assert len(iterates) >= 10
+    dec = decompose(grid, 2, 2, 2)
+    systems = build_local_systems(dec, spec)
+    for x, eps in iterates[::3]:
+        yield jacobian(x, spec, eps), -residual(x, spec, eps, check=False)
+        for sub, loc in zip(dec.subdomains, systems):
+            v = x[sub.pair_idx]
+            rhs = -residual(x, spec, eps, check=False)[sub.pair_idx]
+            yield pair_jacobian(loc.a_loc, *split_pair(v), spec, eps), rhs
+
+
+class TestSparseLU:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("mu", [1.0, 1e-4])
+    def test_matches_pivoted_lu_on_stiff_block(self, n, mu):
+        for jac, rhs in stiff_jacobians(n, mu):
+            jac = jac.tocsc()
+            lu, fallbacks = sparse_lu(jac, spla.splu)
+            assert fallbacks == 0
+            d = lu.solve(rhs)
+            d_ref = spla.splu(jac).solve(rhs)
+            assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+
+    @staticmethod
+    def spoiled_splu(spoil):
+        """splu whose symmetric-mode factors are spoiled; records every call."""
+        calls = []
+
+        class Spoiled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return spoil(self.lu.solve(b))
+
+        def splu(matrix, **kwargs):
+            calls.append(kwargs)
+            if kwargs:
+                if spoil is None:
+                    raise RuntimeError("Factor is exactly singular")
+                return Spoiled(spla.splu(matrix, **kwargs))
+            return spla.splu(matrix)
+
+        return splu, calls
+
+    @pytest.mark.parametrize("spoil", [
+        lambda z: z * (1.0 + 1e-8),
+        lambda z: np.full_like(z, np.nan),
+        None,
+    ], ids=["inaccurate", "nonfinite", "raises"])
+    def test_failed_probe_falls_back_to_default(self, spoil):
+        rng = np.random.default_rng(3)
+        jac = sp.csc_matrix(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
+        rhs = rng.standard_normal(6)
+        splu, calls = self.spoiled_splu(spoil)
+        lu, fallbacks = sparse_lu(jac, splu)
+        assert fallbacks == 1
+        assert len(calls) == 2 and calls[1] == {}
+        np.testing.assert_array_equal(lu.solve(rhs), spla.splu(jac).solve(rhs))
+
+    def test_fallback_is_counted_and_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = sp.csr_matrix(np.eye(8) + 0.1 * rng.standard_normal((8, 8)))
+        b = rng.standard_normal(8)
+
+        def solve(splu):
+            monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+            return newton_continuation(
+                np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a,
+                ContinuationSchedule.fixed(1.0), NewtonConfig())
+
+        # the default path: splu's own ordering and pivoting on every call
+        x_ref, report_ref = solve(lambda matrix, **kwargs: spla.splu(matrix))
+        assert report_ref.lu_fallbacks == 0
+        x, report = solve(self.spoiled_splu(lambda z: z * (1.0 + 1e-8))[0])
+        assert report.outer_iters == 1
+        assert report.lu_fallbacks == 1
+        np.testing.assert_array_equal(x, x_ref)
+
+    def test_singular_matrix_raises_like_splu(self):
+        jac = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]))
+        with pytest.raises(RuntimeError) as expected:
+            spla.splu(jac)
+        with pytest.raises(RuntimeError) as got:
+            sparse_lu(jac, spla.splu)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_singular_local_jacobian_names_subdomain(self, monkeypatch, bad):
+        # Grid(11) in 1x3 tiles with overlap 1 gives subdomains of 4, 5 and 6
+        # columns, so the size of a local block names its subdomain
+        grid = Grid(11)
+        spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=2)
+        dec = decompose(grid, 1, 3, 1)
+        bad_size = dec.subdomains[bad].size
+
+        def singular_pair_jacobian(a, y, p, spec, eps):
+            jac = pair_jacobian(a, y, p, spec, eps)
+            if a.shape[0] == bad_size:
+                jac = sp.diags(np.r_[0.0, np.ones(jac.shape[0] - 1)]) @ jac
+            return jac.tocsr()
+
+        monkeypatch.setattr(schwarz, "pair_jacobian", singular_pair_jacobian)
+        x = np.zeros(2 * grid.size)
+        with pytest.raises(LocalSolveError, match="singular") as info:
+            ras_preconditioner(x, dec, spec, 1e-2)
+        assert info.value.subdomain == bad
+        with pytest.raises(LocalSolveError, match="factorization failed") as info:
+            raspen_residual(x, dec, spec, 1e-2)
+        assert info.value.subdomain == bad

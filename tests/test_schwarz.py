@@ -279,10 +279,10 @@ class TestLocalFactorFailure:
                     return getattr(real, key)
 
                 @staticmethod
-                def splu(matrix):
+                def splu(matrix, **kwargs):
                     if matrix.shape[0] == sizes[bad]:
                         raise RuntimeError("Factor is exactly singular")
-                    return real.splu(matrix)
+                    return real.splu(matrix, **kwargs)
 
             monkeypatch.setattr(schwarz, "spla", FailingSpla())
         return grid, spec, dec, patch
@@ -294,6 +294,20 @@ class TestLocalFactorFailure:
         with pytest.raises(LocalSolveError, match="singular") as info:
             ras_preconditioner(np.zeros(2 * grid.size), dec, spec, 1e-2)
         assert info.value.subdomain == bad
+
+    def test_newton_records_ras_failure(self, failing_splu):
+        grid, spec, dec, patch = failing_splu
+        patch(1)
+        x0 = np.zeros(2 * grid.size)
+        x, report = newton_continuation(
+            x0, lambda z, e: residual(z, spec, e, check=False),
+            lambda z, e: jacobian(z, spec, e), ContinuationSchedule.fixed(1e-2),
+            NewtonConfig(linear_solver=KrylovConfig()),
+            precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e))
+        assert not report.converged
+        assert report.failure.startswith("subdomain 1: singular")
+        assert len(report.residual_norms) == 1
+        np.testing.assert_array_equal(x, x0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bad", [0, 1, 2])
@@ -414,3 +428,49 @@ class TestRaspen:
         assert not report.converged
         assert "subdomain" in report.failure
         np.testing.assert_array_equal(x, x0)
+
+    @pytest.mark.parametrize("failing_eval", [2, 3])
+    def test_later_local_failure_keeps_iterates(self, mild16, monkeypatch,
+                                                failing_eval):
+        # evaluation 1 is at x0, evaluation k >= 2 tries step k - 1
+        grid, spec, dec, _ = mild16
+        sched = ContinuationSchedule(1.0, 0.2, 1e-3)
+        x0 = np.zeros(2 * grid.size)
+        x_one, ref = raspen_solve(x0, dec, spec, sched, cfg=NewtonConfig(max_outer=1))
+        assert ref.outer_iters == 1
+        real = schwarz.raspen_residual
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_eval:
+                raise LocalSolveError(1, "injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schwarz, "raspen_residual", failing)
+        x, report = raspen_solve(x0, dec, spec, sched)
+        steps = failing_eval - 2
+        assert not report.converged
+        assert report.failure == "subdomain 1: injected"
+        assert report.outer_iters == steps
+        assert report.residual_norms == ref.residual_norms[:steps + 1]
+        assert report.inner_iters == ref.inner_iters[:failing_eval - 1]
+        np.testing.assert_array_equal(x, x_one if steps else x0)
+
+    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_solve(self, mild16, monkeypatch, threads, pools):
+        grid, spec, dec, _ = mild16
+        built = []
+        real = schwarz.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schwarz, "ThreadPoolExecutor", counting)
+        _, report = raspen_solve(np.zeros(2 * grid.size), dec, spec,
+                                 ContinuationSchedule(1.0, 0.2, 1e-3),
+                                 threads=threads)
+        assert report.converged
+        assert len(report.inner_iters) >= 3
+        assert built == [{"max_workers": 2}] * pools
