@@ -56,8 +56,6 @@ def build_parser():
     table = sub.add_parser("table", help="run one benchmark table")
     table.add_argument("table_id",
                        choices=("mono", "gmres", "raspen", "scaling", "sweep"))
-    table.add_argument("--parallel-cells", action="store_true",
-                       help="run table cells concurrently (wall times unusable)")
     _add_config_flags(table)
 
     rate = sub.add_parser("rate", help="smoothing error decay study")
@@ -96,8 +94,7 @@ def main(argv=None):
 
         if args.command == "table":
             cfg = _config_from_args(args)
-            code, rows = run_table(args.table_id, cfg, args.out,
-                                   parallel_cells=args.parallel_cells)
+            code, rows = run_table(args.table_id, cfg, args.out)
             good = sum(row.converged for row in rows)
             print(f"table {args.table_id}: {good}/{len(rows)} cells converged; "
                   f"wrote {args.out}/table_{args.table_id}.csv")

@@ -7,7 +7,6 @@ reported but never asserted anywhere, iteration counts are the quantities
 of interest.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -201,16 +200,11 @@ def table_cells(table_id, base):
     raise ValueError(f"unknown table id {table_id!r}")
 
 
-def run_table(table_id, base_cfg, out_dir, parallel_cells=False):
+def run_table(table_id, base_cfg, out_dir):
     """All cells of one table; per-cell failures land in rows, not exceptions."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = table_cells(table_id, base_cfg)
-    if parallel_cells:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(_run_cell, cells))
-    else:
-        rows = [_run_cell(cfg) for cfg in cells]
+    rows = [_run_cell(cfg) for cfg in table_cells(table_id, base_cfg)]
     write_benchmark_csv(out / f"table_{table_id}.csv", rows)
     code = 0 if all(row.converged for row in rows) else 4
     return code, rows

@@ -3,8 +3,8 @@
 The operator and preconditioner are plain callables on vectors.  Preconditioning
 is applied on the left, so the convergence test and the reported residual
 history live in the preconditioned norm; iteration counts must be read with
-that convention in mind.  No restart by default, so the residual history is
-non-increasing and directly comparable across runs.
+that convention in mind.  One Arnoldi cycle without restart, so the residual
+history is non-increasing and directly comparable across runs.
 """
 
 from dataclasses import dataclass, field
@@ -12,24 +12,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class GmresBreakdownError(RuntimeError):
+class SolverFault(RuntimeError):
+    """A solve that cannot go on; the Newton core records it as the failure."""
+
+
+class GmresBreakdownError(SolverFault):
     """Nonfinite Arnoldi entries; the operator or preconditioner misbehaved."""
 
 
 @dataclass(frozen=True)
 class KrylovConfig:
     rel_tol: float = 1e-12
-    abs_tol: float = 0.0
     max_iters: int = 2000
-    restart: int | None = None
 
     def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_tol < 0 or self.rel_tol == self.abs_tol == 0:
-            raise ValueError("tolerances must be nonnegative and not both zero")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart must be at least 1 when given")
 
 
 @dataclass
@@ -44,10 +44,10 @@ class GmresResult:
 def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     """Solve apply_op(x) = b; returns GmresResult with per-iteration residuals.
 
-    Convergence: ||M(A x - b)|| <= max(rel_tol * ||M b||, abs_tol) with M the
-    (optional) left preconditioner.  A vanishing Arnoldi subdiagonal (happy
-    breakdown) means the solution lies in the current subspace and counts as
-    convergence.
+    Convergence: ||M(A x - b)|| <= rel_tol * ||M b|| with M the (optional)
+    left preconditioner, within one cycle of at most max_iters steps.  A
+    vanishing Arnoldi subdiagonal (happy breakdown) means the solution lies in
+    the current subspace and counts as convergence.
     """
     cfg = cfg or KrylovConfig()
     apply_m = precond if precond is not None else (lambda v: v)
@@ -55,7 +55,7 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
 
     mb = apply_m(b)
-    threshold = max(cfg.rel_tol * float(np.linalg.norm(mb)), cfg.abs_tol)
+    threshold = cfg.rel_tol * float(np.linalg.norm(mb))
     r = mb if x0 is None else apply_m(b - apply_op(x))
     beta = float(np.linalg.norm(r))
     history = [beta]
@@ -64,23 +64,9 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     if beta <= threshold:
         return GmresResult(x, 0, beta, True, history)
 
-    total = 0
-    converged = False
-    residual = beta
-    while total < cfg.max_iters and not converged:
-        budget = cfg.max_iters - total
-        if cfg.restart is not None:
-            budget = min(budget, cfg.restart)
-        x, residual, steps, converged = _cycle(
-            apply_op, apply_m, x, r, beta, threshold, budget, history)
-        total += steps
-        if cfg.restart is None:
-            break
-        if not converged and total < cfg.max_iters:
-            r = apply_m(b - apply_op(x))
-            beta = float(np.linalg.norm(r))
-
-    return GmresResult(x, total, residual, converged, history)
+    x, residual, steps, converged = _cycle(
+        apply_op, apply_m, x, r, beta, threshold, cfg.max_iters, history)
+    return GmresResult(x, steps, residual, converged, history)
 
 
 def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .krylov import KrylovConfig, gmres
-
-
-class SolverFault(RuntimeError):
-    """A solve that cannot go on; the Newton core records it as the failure."""
+from .krylov import KrylovConfig, SolverFault, gmres
 
 
 class LineSearchError(SolverFault):
@@ -105,16 +101,19 @@ class SolveReport:
 def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm=None):
     """Largest alpha in {1, 1/2, 1/4, ...} with ||F(x + alpha d)|| <= sigma ||F(x)||.
 
-    Nonfinite trial norms reject the step, so overflowing trial iterates simply
-    halve alpha instead of aborting.
+    Returns alpha and the accepted trial's residual F(x + alpha d).  Nonfinite
+    trial norms reject the step, so overflowing trial iterates simply halve
+    alpha instead of aborting or warning.
     """
     if current_norm is None:
         current_norm = float(np.linalg.norm(residual_fn(x)))
     alpha = 1.0
     for _ in range(max_halvings + 1):
-        trial = float(np.linalg.norm(residual_fn(x + alpha * d)))
+        r_trial = residual_fn(x + alpha * d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = float(np.linalg.norm(r_trial))
         if np.isfinite(trial) and trial <= sigma * current_norm:
-            return alpha, trial
+            return alpha, r_trial
         alpha *= 0.5
     raise LineSearchError(
         f"no admissible step within {max_halvings} halvings "
@@ -171,51 +170,52 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (direct
     mode) or operator for GMRES; precond_builder(x, eps) -> left preconditioner
     callable, rebuilt every outer iteration.  Stopping threshold is
-    max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.  A
-    SolverFault after the initial evaluation ends the solve as a failed report
-    that keeps the iterate and history reached.
+    max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.  While eps
+    stays put the accepted line-search trial's residual is the next residual;
+    a new eps needs one more evaluation.  A SolverFault ends the solve as a
+    failed report that keeps the iterate and history reached (x0 and an empty
+    history if the initial evaluation fails).
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float, copy=True)
     eps = sched.eps0
-    r = residual_fn(x, eps)
-    nrm = float(np.linalg.norm(r))
-    if not np.isfinite(nrm):
-        raise ValueError("nonfinite residual at the initial guess")
-    threshold = max(cfg.tol, cfg.tol * nrm)
-
-    report = SolveReport(False, 0, residual_norms=[nrm], eps_values=[eps],
-                         threshold=threshold)
-    while True:
-        if nrm <= threshold and eps == sched.eps_min:
-            report.converged = True
-            break
-        if report.outer_iters >= cfg.max_outer:
-            report.failure = f"no convergence within {cfg.max_outer} outer iterations"
-            break
-        try:
+    report = SolveReport(False, 0)
+    try:
+        r = residual_fn(x, eps)
+        nrm = float(np.linalg.norm(r))
+        if not np.isfinite(nrm):
+            raise ValueError("nonfinite residual at the initial guess")
+        report.threshold = max(cfg.tol, cfg.tol * nrm)
+        report.residual_norms.append(nrm)
+        report.eps_values.append(eps)
+        while not (nrm <= report.threshold and eps == sched.eps_min):
+            if report.outer_iters >= cfg.max_outer:
+                report.failure = f"no convergence within {cfg.max_outer} outer iterations"
+                break
             jac = jacobian_fn(x, eps)
             precond = precond_builder(x, eps) if precond_builder is not None else None
             d, lin_iters, fallbacks = _solve_direction(jac, -r, cfg.linear_solver,
                                                        precond)
             report.lu_fallbacks += fallbacks
-            alpha, accepted = backtrack(
+            alpha, r = backtrack(
                 x, d, lambda z: residual_fn(z, eps), cfg.sigma, cfg.max_halvings,
                 current_norm=nrm)
+            accepted = nrm = float(np.linalg.norm(r))
             x_next = x + alpha * d
             eps_next = sched.next_eps(eps)
-            r = residual_fn(x_next, eps_next)
-        except SolverFault as exc:
-            report.failure = str(exc)
-            break
-        x, eps = x_next, eps_next
-        nrm = float(np.linalg.norm(r))
-        report.outer_iters += 1
-        report.alphas.append(alpha)
-        report.accepted_norms.append(accepted)
-        report.gmres_iters.append(lin_iters)
-        report.residual_norms.append(nrm)
-        report.eps_values.append(eps)
+            if eps_next != eps:
+                r = residual_fn(x_next, eps_next)
+                nrm = float(np.linalg.norm(r))
+            x, eps = x_next, eps_next
+            report.outer_iters += 1
+            report.alphas.append(alpha)
+            report.accepted_norms.append(accepted)
+            report.gmres_iters.append(lin_iters)
+            report.residual_norms.append(nrm)
+            report.eps_values.append(eps)
+    except SolverFault as exc:
+        report.failure = str(exc)
 
+    report.converged = report.failure is None
     report.wall_time = time.perf_counter() - t0
     return x, report

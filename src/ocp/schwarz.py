@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid
 from .krylov import KrylovConfig
-from .newton import (ContinuationSchedule, NewtonConfig, SolveReport, SolverFault,
+from .newton import (ContinuationSchedule, NewtonConfig, SolverFault,
                      newton_continuation, sparse_lu)
 from .system import pair_jacobian, residual_rows, split_pair
 
@@ -226,6 +226,14 @@ def _parallel_map(fn, items, pool):
     return list(pool.map(lambda item: fn(*item), items))
 
 
+def _scatter_own(dec, values):
+    """Global pair vector made of each local vector's owned entries."""
+    out = np.zeros(2 * dec.grid.size)
+    for sub, v in zip(dec.subdomains, values):
+        out[sub.pair_own] = v[sub.pair_own_in_local]
+    return out
+
+
 def ras_preconditioner(x, dec, spec, eps, systems=None, lu_fallbacks=None):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
@@ -240,19 +248,10 @@ def ras_preconditioner(x, dec, spec, eps, systems=None, lu_fallbacks=None):
         lu_fallbacks.append(sum(fallbacks for _, _, fallbacks in factors))
 
     def apply(v):
-        out = np.zeros_like(v)
-        for sub, lu in zip(dec.subdomains, lus):
-            w = lu.solve(v[sub.pair_idx])
-            out[sub.pair_own] = w[sub.pair_own_in_local]
-        return out
+        return _scatter_own(dec, (lu.solve(v[sub.pair_idx])
+                                  for sub, lu in zip(dec.subdomains, lus)))
 
     return apply
-
-
-def _scatter_own(dec, values, out):
-    for sub, v in zip(dec.subdomains, values):
-        out[sub.pair_own] = v[sub.pair_own_in_local]
-    return out
 
 
 @dataclass
@@ -261,7 +260,6 @@ class CorrectionSet:
 
     x: np.ndarray
     eps: float
-    f_val: np.ndarray
     values: list
     jac_locs: list
     lus: list
@@ -271,7 +269,7 @@ class CorrectionSet:
 
 
 def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
-                    threads=None, systems=None, pool=None):
+                    systems=None, pool=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
     Each subdomain task solves its frozen-exterior system and factors its
@@ -280,8 +278,8 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
     residual is scatter_own(local values) - x, which equals the ownership
     recombination of the local displacements since the ownership sets
     partition the index set; corrections.values[i] is subdomain i's local
-    correction and f_val + x one nonlinear RAS sweep.  The tasks run on pool
-    if one is given, else on a _subdomain_pool(threads) opened for this call.
+    correction and f_val + x one nonlinear RAS sweep.  The tasks run on pool,
+    an executor from _subdomain_pool, or inline when pool is None.
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
@@ -289,19 +287,14 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
 
     tasks = [(i, sub, loc, spec, x, eps, sched, cfg)
              for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
-    if pool is None:
-        with _subdomain_pool(threads, len(tasks)) as own_pool:
-            results = _parallel_map(_solve_and_factor, tasks, own_pool)
-    else:
-        results = _parallel_map(_solve_and_factor, tasks, pool)
+    results = _parallel_map(_solve_and_factor, tasks, pool)
     values, inner_iters, jac_locs, lus, fallbacks = (
         list(column) for column in zip(*results))
 
-    f_val = _scatter_own(dec, values, np.zeros_like(x)) - x
+    f_val = _scatter_own(dec, values) - x
     corrections = CorrectionSet(
-        x=x.copy(), eps=eps, f_val=f_val, values=values, jac_locs=jac_locs,
-        lus=lus, inner_iters=inner_iters, lu_fallbacks=sum(fallbacks),
-        systems=systems)
+        x=x.copy(), eps=eps, values=values, jac_locs=jac_locs, lus=lus,
+        inner_iters=inner_iters, lu_fallbacks=sum(fallbacks), systems=systems)
     return f_val, corrections
 
 
@@ -316,14 +309,13 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     if corrections.eps != eps or not np.array_equal(corrections.x, x):
         raise RuntimeError("stale corrections: recompute raspen_residual at this iterate")
     dy, dp = split_pair(d)
-    out = np.zeros_like(d)
-    for sub, loc, jac_loc, lu in zip(dec.subdomains, corrections.systems,
-                                     corrections.jac_locs, corrections.lus):
-        rhs = jac_loc @ d[sub.pair_idx] + np.concatenate(
-            [loc.a_ext @ dy, loc.a_ext @ dp])
-        w = lu.solve(rhs)
-        out[sub.pair_own] = -w[sub.pair_own_in_local]
-    return out
+    solves = (lu.solve(jac_loc @ d[sub.pair_idx]
+                       + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
+              for sub, loc, jac_loc, lu in zip(dec.subdomains, corrections.systems,
+                                               corrections.jac_locs, corrections.lus))
+    # the ownership sets partition the index set, so negating the whole
+    # scatter negates every local contribution
+    return -_scatter_own(dec, solves)
 
 
 def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
@@ -344,51 +336,32 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
     inner_cfg = NewtonConfig(tol=inner_tol, max_outer=inner_max_outer)
     eps_min = sched.eps_min
 
-    state = {"corr": None, "evals": 0, "inner_hist": [], "lu_fallbacks": 0}
+    state = {"corr": None, "inner_hist": [], "lu_fallbacks": 0}
 
     def residual_fn(x, eps):
-        corr = state["corr"]
-        if corr is not None and corr.eps == eps and np.array_equal(corr.x, x):
-            return corr.f_val.copy()
-        if continuation and state["evals"] == 0:
+        # only the first evaluation starts far from the local solutions
+        if continuation and not state["inner_hist"]:
             inner_sched = ContinuationSchedule(sched.eps0, sched.gamma, eps)
         else:
             inner_sched = ContinuationSchedule.fixed(eps)
-        f_val, corr = raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched,
-                                      threads, systems, pool)
-        state["corr"] = corr
-        state["evals"] += 1
-        state["inner_hist"].append(max(corr.inner_iters))
-        state["lu_fallbacks"] += corr.lu_fallbacks
-        return f_val.copy()
+        f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
+                                               inner_sched, systems, pool)
+        state["inner_hist"].append(max(state["corr"].inner_iters))
+        state["lu_fallbacks"] += state["corr"].lu_fallbacks
+        return f_val
 
     def jacobian_fn(x, eps):
         corr = state["corr"]
-        if corr is None or corr.eps != eps or not np.array_equal(corr.x, x):
-            raise RuntimeError("Jacobian requested before a residual evaluation "
-                               "at this iterate")
-
-        def apply(d):
-            if state["corr"] is not corr:
-                raise RuntimeError("stale corrections: a newer iterate was evaluated")
-            return raspen_jacobian_apply(x, d, dec, spec, eps, corr)
-
-        return apply
+        return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, corr)
 
     outer_cfg = NewtonConfig(
         tol=cfg.tol, max_outer=cfg.max_outer,
         sigma=float("inf"),
         max_halvings=cfg.max_halvings, linear_solver=krylov_cfg)
-    # newton_continuation records later faults itself; only one in the
-    # initial evaluation, before any iterate, reaches this handler
     with _subdomain_pool(threads, len(dec)) as pool:
-        try:
-            x, report = newton_continuation(
-                x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
-                outer_cfg)
-        except LocalSolveError as exc:
-            x = np.array(x0, dtype=float, copy=True)
-            report = SolveReport(False, 0, failure=str(exc))
-    report.inner_iters = list(state["inner_hist"])
+        x, report = newton_continuation(
+            x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
+            outer_cfg)
+    report.inner_iters = state["inner_hist"]
     report.lu_fallbacks += state["lu_fallbacks"]
     return x, report

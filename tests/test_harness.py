@@ -14,6 +14,7 @@ from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
                                 ExperimentConfig, build_config,
                                 config_to_dict, config_to_text,
                                 load_config_file, parse_subdomains)
+import ocp.harness.experiments as experiments
 from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
                                      solve_single, sparsity_fraction,
@@ -254,6 +255,21 @@ class TestRunSingle:
         code, data = run_single(cfg, tmp_path)
         assert code == 3
         assert not data["converged"] and data["failure"]
+
+    def test_gmres_breakdown_writes_artifacts(self, tmp_path, monkeypatch):
+        # a NaN preconditioner breaks GMRES down in the first direction solve
+        monkeypatch.setattr(
+            experiments, "ras_preconditioner",
+            lambda *args, **kwargs: lambda v: np.full_like(v, np.nan))
+        cfg = mild_config(method="newton-ras-eps", s1=2, s2=2, overlap=1)
+        code, data = run_single(cfg, tmp_path)
+        assert code == 3
+        assert not data["converged"]
+        assert data["failure"].startswith("nonfinite")
+        assert read_report_json(tmp_path / "report.json") == data
+        assert len(data["residual_history"]) == 1
+        for name in ("y.csv", "p.csv", "u.csv"):
+            read_field_csv(tmp_path / name, Grid(cfg.n))
 
 
 class TestRunTable:

@@ -77,19 +77,6 @@ def test_happy_breakdown_on_eigenvector_rhs():
     assert np.allclose(result.x, b / 2.0, rtol=0, atol=1e-15)
 
 
-def test_restart_still_converges():
-    # positive definite symmetric part, so every restart cycle must reduce
-    # the residual and GMRES(5) cannot stagnate
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((20, 20))
-    a = m.T @ m / 20.0 + np.eye(20)
-    b = rng.standard_normal(20)
-    result = gmres(matvec(a), b, KrylovConfig(rel_tol=1e-10, max_iters=500, restart=5))
-    assert result.converged
-    assert np.linalg.norm(a @ result.x - b) <= 1e-8 * np.linalg.norm(b)
-    assert len(result.history) == result.iters + 1
-
-
 def test_iteration_cap_reports_no_convergence():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((40, 40))
@@ -108,18 +95,9 @@ def test_nonfinite_operator_raises():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        KrylovConfig(rel_tol=0.0, abs_tol=0.0)
+        KrylovConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         KrylovConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        KrylovConfig(restart=0)
-
-
-def test_abs_tol_only_mode():
-    b = 1e-8 * np.ones(5)
-    result = gmres(lambda v: v, b, KrylovConfig(rel_tol=0.0, abs_tol=1e-6))
-    assert result.converged
-    assert result.iters == 0
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocp.grid import Grid
-from ocp.krylov import KrylovConfig
+import ocp.krylov as krylov
+from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
                         NewtonConfig, SolverFault, backtrack,
@@ -97,17 +99,17 @@ def test_no_early_convergence_above_eps_floor():
 def test_backtrack_halves_until_acceptable():
     table = {0.0: 1.0, 1.0: 2.2, 0.5: 0.99}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30)
     assert alpha == 0.5
-    assert trial == 0.99
+    np.testing.assert_array_equal(r_trial, [0.99])
 
 
 def test_backtrack_accepts_growth_under_loose_sigma():
     table = {0.0: 1.0, 1.0: 2.2}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 30)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 30)
     assert alpha == 1.0
-    assert trial == 2.2
+    np.testing.assert_array_equal(r_trial, [2.2])
 
 
 def test_backtrack_rejects_nonfinite_trials():
@@ -115,10 +117,10 @@ def test_backtrack_rejects_nonfinite_trials():
         v = float(z[0])
         return np.array([np.inf if v > 0.3 else 0.5])
 
-    alpha, trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30,
-                             current_norm=1.0)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30,
+                               current_norm=1.0)
     assert alpha == 0.25
-    assert trial == 0.5
+    np.testing.assert_array_equal(r_trial, [0.5])
 
 
 def test_backtrack_exhausts_budget():
@@ -212,35 +214,128 @@ def test_nonfinite_initial_guess_rejected():
 
 
 def test_solver_faults_share_one_base():
-    for fault in (LineSearchError, LinearSolveError, LocalSolveError):
+    for fault in (LineSearchError, LinearSolveError, LocalSolveError,
+                  GmresBreakdownError):
         assert issubclass(fault, SolverFault)
     assert issubclass(SolverFault, RuntimeError)
+    assert SolverFault is krylov.SolverFault
 
 
-@pytest.mark.parametrize("failing_call,steps", [(3, 0), (4, 1)])
-def test_fault_keeps_iterate_and_history(failing_call, steps):
-    # call 1 is at x0, call 2 the accepted trial of step 1, call 3 the
-    # residual at the new iterate and call 4 the first trial of step 2
-    calls = []
-
+def counted_arctan(calls, fail_at=None):
+    """arctan residual that records every point it is called at and raises a
+    SolverFault on call number fail_at."""
     def residual_fn(x, eps):
-        calls.append(x.copy())
-        if len(calls) == failing_call:
+        calls.append((x.copy(), eps))
+        if len(calls) == fail_at:
             raise SolverFault("local failure")
         return np.arctan(x)
+    return residual_fn
 
-    def jac(x, eps):
-        return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+
+def arctan_jacobian(x, eps):
+    return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+
+
+def test_fixed_eps_reuses_accepted_trial():
+    # from x0 = 2 the first step needs halvings; at a fixed eps every call
+    # after the one at x0 is a line-search trial
+    calls = []
+    x, report = newton_continuation(
+        np.array([2.0]), counted_arctan(calls), arctan_jacobian,
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
+    assert report.converged
+    trials = sum(round(-np.log2(alpha)) + 1 for alpha in report.alphas)
+    assert trials > report.outer_iters
+    assert len(calls) == 1 + trials
+    assert report.residual_norms[1:] == report.accepted_norms
+    np.testing.assert_array_equal(calls[-1][0], x)
+
+
+def test_continuation_step_evaluates_at_new_eps():
+    # arctan steps are all full here, so each step is one trial at the old
+    # eps plus one evaluation at the new eps, until eps reaches its floor
+    calls = []
+    sched = ContinuationSchedule(1.0, 0.5, 0.25)
+    x, report = newton_continuation(
+        np.array([1.0]), counted_arctan(calls), arctan_jacobian, sched,
+        NewtonConfig())
+    assert report.converged
+    assert set(report.alphas) == {1.0}
+    assert [eps for _, eps in calls[:5]] == [1.0, 1.0, 0.5, 0.5, 0.25]
+    assert len(calls) == 1 + report.outer_iters + 2
+    np.testing.assert_array_equal(calls[2][0], calls[1][0])
+
+
+def test_fault_in_initial_evaluation_keeps_x0():
+    calls = []
+    x0 = np.array([1.0])
+    x, report = newton_continuation(
+        x0, counted_arctan(calls, fail_at=1), arctan_jacobian,
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
+    assert not report.converged
+    assert report.failure == "local failure"
+    assert report.outer_iters == 0
+    assert report.residual_norms == []
+    np.testing.assert_array_equal(x, x0)
+
+
+def test_gmres_breakdown_ends_as_failed_report():
+    # the first step runs unpreconditioned; from step 2 on the
+    # preconditioner returns NaN, so GMRES breaks down there
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    builds = []
+
+    def precond_builder(x, eps):
+        builds.append(x.copy())
+        if len(builds) == 1:
+            return lambda v: v
+        return lambda v: np.full_like(v, np.nan)
 
     x, report = newton_continuation(
-        np.array([1.0]), residual_fn, jac, ContinuationSchedule.fixed(1.0),
-        NewtonConfig())
+        np.array([3.0, -1.0]), lambda x, eps: np.arctan(a @ x),
+        lambda x, eps: sp.csr_matrix(a / (1.0 + (a @ x)[:, None] ** 2)),
+        ContinuationSchedule.fixed(1.0),
+        NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-12)),
+        precond_builder=precond_builder)
+    assert not report.converged
+    assert report.failure.startswith("nonfinite")
+    assert report.outer_iters == 1
+    assert len(report.residual_norms) == 2
+    np.testing.assert_array_equal(x, builds[1])
+
+
+@pytest.mark.parametrize("failing_call,steps", [(2, 0), (3, 1)])
+def test_fault_keeps_iterate_and_history(failing_call, steps):
+    # call 1 is at x0, call 2 the accepted trial of step 1, which at a fixed
+    # eps is also the residual at the new iterate, and call 3 the first
+    # trial of step 2
+    calls = []
+    x, report = newton_continuation(
+        np.array([1.0]), counted_arctan(calls, fail_at=failing_call),
+        arctan_jacobian, ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure == "local failure"
     assert report.outer_iters == steps
     assert len(report.residual_norms) == steps + 1
-    np.testing.assert_array_equal(x, calls[2 * steps])
+    np.testing.assert_array_equal(x, calls[steps][0])
     assert report.residual_norms[-1] == abs(float(np.arctan(x[0])))
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-4])
+def test_stiff_block_solves_without_warnings(mu):
+    # the state solve inside the construction and the coupled solve both
+    # reject overflowing line-search trials by design, silently
+    grid = Grid(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec, _ = construct_test_problem(grid, nu=1e-8, mu=mu)
+        _, report = newton_continuation(
+            np.zeros(2 * grid.size),
+            lambda x, eps: residual(x, spec, eps, check=False),
+            lambda x, eps: jacobian(x, spec, eps),
+            ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
+    assert report.converged
+    assert min(report.alphas) < 1.0
 
 
 def stiff_jacobians(n, mu):
@@ -253,13 +348,11 @@ def stiff_jacobians(n, mu):
         iterates.append((x.copy(), eps))
         return jacobian(x, spec, eps)
 
-    # rejected line-search trials overflow by design
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec, _ = construct_test_problem(grid, nu=1e-8, mu=mu)
-        newton_continuation(
-            np.zeros(2 * grid.size),
-            lambda x, eps: residual(x, spec, eps, check=False),
-            jac, ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
+    spec, _ = construct_test_problem(grid, nu=1e-8, mu=mu)
+    newton_continuation(
+        np.zeros(2 * grid.size),
+        lambda x, eps: residual(x, spec, eps, check=False),
+        jac, ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
     assert len(iterates) >= 10
     dec = decompose(grid, 2, 2, 2)
     systems = build_local_systems(dec, spec)

@@ -314,9 +314,10 @@ class TestLocalFactorFailure:
     def test_raspen_residual_names_subdomain(self, failing_splu, bad, threads):
         grid, spec, dec, patch = failing_splu
         patch(bad)
-        with pytest.raises(LocalSolveError, match="singular") as info:
-            raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
-                            threads=threads)
+        with schwarz._subdomain_pool(threads, len(dec)) as pool:
+            with pytest.raises(LocalSolveError, match="singular") as info:
+                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
+                                pool=pool)
         assert info.value.subdomain == bad
 
 
