@@ -5,9 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .krylov import SolverFault
 
-class NonfiniteFieldError(ValueError):
-    """A field operation produced a NaN or Inf entry."""
+
+class NonfiniteFieldError(ValueError, SolverFault):
+    """A field operation produced a NaN or Inf entry; inside a solve, a fault."""
 
     def __init__(self, where, index):
         self.where = where

@@ -9,7 +9,6 @@ study).  Exit codes: 0 success, 2 configuration error, 3 solver failure,
 import argparse
 import sys
 
-from ..grid import NonfiniteFieldError
 from .config import FLAT_KEYS, ConfigError, build_config, load_config_file, parse_flat
 from .experiments import rate_study, run_single, run_table, sparsity_study
 
@@ -116,18 +115,14 @@ def main(argv=None):
         print(f"sparsity study n={args.n}: {len(rows)} cells; "
               f"wrote {args.out}/sparsity.csv")
         return 0
-    except NonfiniteFieldError as exc:
-        # a ValueError raised by the numerics (e.g. an overflowing phi'(y)),
-        # so it must be caught before the usage errors below
+    except RuntimeError as exc:
+        # first: a NonfiniteFieldError from the numerics is also a ValueError
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # ConfigError and bad study parameters: usage problems, not solver ones
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -210,9 +210,10 @@ def run_table(table_id, base_cfg, out_dir):
     return code, rows
 
 
-def _continuation_solve(spec, eps, tol):
-    x0 = np.zeros(2 * spec.grid.size)
-    sched = ContinuationSchedule(max(1.0, eps), 0.2, eps)
+def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
+    """Continuation solve at eps from x0 (default 0), eps running from eps0."""
+    x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
+    sched = ContinuationSchedule(max(eps0, eps), 0.2, eps)
     x, report = newton_continuation(
         x0, lambda z, e: residual(z, spec, e, check=False),
         lambda z, e: jacobian(z, spec, e), sched, NewtonConfig(tol=tol))
@@ -225,9 +226,11 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
                eps_ref=1e-12, tol=1e-10):
     """Distance of smoothed solutions to a near-limit reference, per eps.
 
-    Errors use the discrete H1 norm (zero-extended forward differences,
-    h^2 cell weight) on the combined state/adjoint pair; the fitted slope is
-    the least-squares line of log error against log eps.
+    Each eps, in descending order and then eps_ref, is solved from the
+    previous solution with eps running from the previous eps.  Errors use
+    the discrete H1 norm (zero-extended forward differences, h^2 cell
+    weight) on the combined state/adjoint pair; the fitted slope is the
+    least-squares line of log error against log eps.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,12 +240,16 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
 
-    y_ref, p_ref = split_pair(_continuation_solve(spec, eps_ref, tol))
-    rows = []
-    for eps in eps_list:
-        y, p = split_pair(_continuation_solve(spec, eps, tol))
-        err = float(np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref)))
-        rows.append((eps, err))
+    # from a warm start the core's threshold max(tol, tol * ||F(x0)||) is tol,
+    # so warm starts get the first solve's threshold, from x0 = 0, as their tol
+    f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]), check=False)
+    warm_tol = max(tol, tol * float(np.linalg.norm(f0)))
+    xs = [_continuation_solve(spec, eps_list[0], tol)]
+    for eps_prev, eps in zip(eps_list, [*eps_list[1:], eps_ref]):
+        xs.append(_continuation_solve(spec, eps, warm_tol, xs[-1], eps_prev))
+    y_ref, p_ref = split_pair(xs.pop())
+    rows = [(eps, float(np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))))
+            for eps, (y, p) in zip(eps_list, map(split_pair, xs))]
     slope = float(np.polyfit(np.log([e for e, _ in rows]),
                              np.log([max(r, 1e-300) for _, r in rows]), 1)[0])
     write_pairs_csv(out / "rate.csv", ["eps", "h1_error"], rows)

@@ -84,11 +84,6 @@ class SolveReport:
     lu_fallbacks: int = 0
 
     @property
-    def total_linear_iters(self):
-        counted = [k for k in self.gmres_iters if k is not None]
-        return sum(counted) if counted else None
-
-    @property
     def avg_gmres_iters(self):
         counted = [k for k in self.gmres_iters if k is not None]
         return sum(counted) / len(counted) if counted else None
@@ -120,28 +115,48 @@ def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm=None):
         f"(residual {current_norm:.3e})")
 
 
+@dataclass(frozen=True)
+class Ordered:
+    """A matrix, or its LU factor, stored as M[order][:, order] (position
+    inverts order); products and solves take natural-order vectors."""
+
+    stored: object
+    order: np.ndarray
+    position: np.ndarray
+
+    def __matmul__(self, v):
+        return (self.stored @ v[self.order])[self.position]
+
+    def solve(self, b):
+        return self.stored.solve(b[self.order])[self.position]
+
+
 def sparse_lu(jac, splu):
-    """SuperLU factor of the CSC matrix jac; returns (factor, fallbacks).
+    """SuperLU factor of a sparse or Ordered jac; returns (factor, fallbacks).
 
     The coupled Jacobians have a symmetric pattern, so the first try is
-    SuperLU's symmetric mode: minimum degree on the pattern of A^T + A and
-    diagonal pivots, which fills far less than COLAMD with partial pivoting.
+    SuperLU's symmetric mode with diagonal pivots, which fills far less than
+    COLAMD with partial pivoting.  An Ordered matrix is factored as stored;
+    any other is ordered by minimum degree on the pattern of A^T + A.
     Without pivoting the factor may be inaccurate, so it is kept only if it
     solves jac z = jac @ ones to a relative residual of LU_PROBE_TOL.
     Otherwise, or if that factorization raises, jac is refactored with
     splu's defaults and fallbacks is 1; a singular jac raises from there.
     """
+    ordered = isinstance(jac, Ordered)
+    matrix = jac.stored if ordered else jac.tocsc()
     try:
-        lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options=dict(SymmetricMode=True))
-        b = jac @ np.ones(jac.shape[0])
+        lu = splu(matrix, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        b = matrix @ np.ones(matrix.shape[0])
         with np.errstate(all="ignore"):
-            probe = np.linalg.norm(jac @ lu.solve(b) - b) / np.linalg.norm(b)
-        if probe <= LU_PROBE_TOL:
-            return lu, 0
+            probe = np.linalg.norm(matrix @ lu.solve(b) - b) / np.linalg.norm(b)
+        fallbacks = 0 if probe <= LU_PROBE_TOL else 1
     except RuntimeError:
-        pass
-    return splu(jac), 1
+        fallbacks = 1
+    if fallbacks:
+        lu = splu(matrix)
+    return (Ordered(lu, jac.order, jac.position) if ordered else lu), fallbacks
 
 
 def _solve_direction(jac, rhs, linear_solver, precond):
@@ -157,7 +172,7 @@ def _solve_direction(jac, rhs, linear_solver, precond):
         return result.x, result.iters, 0
     if linear_solver == "direct":
         try:
-            lu, fallbacks = sparse_lu(jac.tocsc(), spla.splu)
+            lu, fallbacks = sparse_lu(jac, spla.splu)
         except RuntimeError as exc:
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
         return lu.solve(rhs), None, fallbacks

@@ -19,6 +19,7 @@ GMRES are microseconds at the scales handled here and stay sequential.
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
 from dataclasses import dataclass, field
+from functools import cached_property
 import os
 
 import numpy as np
@@ -29,7 +30,7 @@ from .grid import Grid
 from .krylov import KrylovConfig
 from .newton import (ContinuationSchedule, NewtonConfig, SolverFault,
                      newton_continuation, sparse_lu)
-from .system import pair_jacobian, residual_rows, split_pair
+from .system import PairPattern, pair_jacobian, residual_rows, split_pair
 
 
 class LocalSolveError(SolverFault):
@@ -143,6 +144,10 @@ class LocalSystem:
     f_loc: np.ndarray
     yd_loc: np.ndarray
 
+    @cached_property
+    def pattern(self):  # built on the first local assembly
+        return PairPattern(self.a_loc)
+
 
 def build_local_systems(dec, spec):
     n2 = dec.grid.size
@@ -181,7 +186,7 @@ def _local_problem(loc, spec, x):
         return np.concatenate([r1, r2])
 
     def local_jacobian(v, eps):
-        return pair_jacobian(loc.a_loc, *split_pair(v), spec, eps)
+        return pair_jacobian(loc.pattern, *split_pair(v), spec, eps)
 
     return local_residual, local_jacobian
 
@@ -189,9 +194,9 @@ def _local_problem(loc, spec, x):
 def _factor_local(i, loc, v, spec, eps):
     """Local block Jacobian of subdomain i at local values v, its LU and the
     LU's fallback count."""
-    jac_loc = pair_jacobian(loc.a_loc, *split_pair(v), spec, eps)
+    jac_loc = pair_jacobian(loc.pattern, *split_pair(v), spec, eps)
     try:
-        return jac_loc, *sparse_lu(jac_loc.tocsc(), spla.splu)
+        return jac_loc, *sparse_lu(jac_loc, spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
 

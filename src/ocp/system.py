@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grid import Grid, build_laplacian, check_finite
-from .newton import ContinuationSchedule, NewtonConfig, newton_continuation
+from .newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
 from .smoothing import (penalty_antiderivative, smoothed_projection,
                         smoothed_projection_derivative)
 
@@ -93,6 +95,10 @@ class ProblemSpec:
         if self.a.shape != (n2, n2) or self.f.shape != (n2,) or self.y_d.shape != (n2,):
             raise ValueError("operator and data shapes do not match the grid")
 
+    @cached_property
+    def pattern(self):  # built on the first assembly
+        return PairPattern(self.a)
+
 
 @dataclass(frozen=True)
 class StatePair:
@@ -152,21 +158,50 @@ def residual(x: np.ndarray, spec: ProblemSpec, eps: float,
     return merge_pair(r1, r2)
 
 
-def pair_jacobian(a, y: np.ndarray, p: np.ndarray, spec: ProblemSpec,
-                  eps: float) -> sp.csr_matrix:
-    """Assembled Jacobian [[a + D1, D12], [D21, a + D1]] at the pair (y, p).
+class PairPattern:
+    """Fixed pattern of the Jacobian [[a + D1, D12], [D21, a + D1]] of one operator.
 
-    The operator comes from the caller, as in residual_rows, so the global
-    system (a = spec.a) and each local subdomain system (its a_loc) share
-    this one assembly.
+    Ordered once by SuperLU's symmetric-mode minimum degree on a + I, with
+    each grid point's (y_k, p_k) kept adjacent; only the diagonals change.
+    """
+
+    def __init__(self, a):
+        n = a.shape[0]
+        lu = spla.splu((a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        points = np.argsort(lu.perm_c)  # perm_c[k] is the position of point k
+        self.order = np.column_stack([points, points + n]).ravel()
+        self.position = np.argsort(self.order)
+        coo, k = a.tocoo(), np.arange(n)
+        # a in both diagonal blocks, then the diagonals of a + D1 (twice), D12, D21
+        rows = self.position[np.r_[coo.row, coo.row + n, k, k + n, k, k + n]]
+        cols = self.position[np.r_[coo.col, coo.col + n, k, k + n, k + n, k]]
+        # column-major keys of the ordered entries sort like a canonical CSC
+        stored, slots = np.unique(cols * (2 * n) + rows, return_inverse=True)
+        values = np.zeros(stored.size)
+        values[slots[:2 * coo.nnz]] = np.tile(coo.data, 2)
+        self.template = sp.csc_matrix(
+            (values, stored % (2 * n), np.searchsorted(stored, np.arange(2 * n + 1) * (2 * n))),
+            shape=(2 * n, 2 * n))
+        self.diag_slots = slots[2 * coo.nnz:]
+        self.a_diag = values[self.diag_slots[:n]]
+
+
+def pair_jacobian(pattern, y: np.ndarray, p: np.ndarray, spec: ProblemSpec,
+                  eps: float) -> Ordered:
+    """Jacobian at the pair (y, p): the pattern's operator values with the
+    diagonals written into their slots.  The global system (spec.pattern)
+    and each local subdomain system (its own pattern) share this assembly.
     """
     dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
-    a11 = a + sp.diags(dphi_y)
-    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
+    jac = pattern.template.copy()
+    a11 = pattern.a_diag + dphi_y
+    jac.data[pattern.diag_slots] = np.concatenate([a11, a11, b12, b21])
+    return Ordered(jac, pattern.order, pattern.position)
 
 
-def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> sp.csr_matrix:
-    return pair_jacobian(spec.a, *split_pair(x), spec, eps)
+def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> Ordered:
+    return pair_jacobian(spec.pattern, *split_pair(x), spec, eps)
 
 
 def jacobian_apply(x: np.ndarray, d: np.ndarray, spec: ProblemSpec,

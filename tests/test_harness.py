@@ -26,6 +26,7 @@ from ocp.harness.reports import (BenchmarkRow, read_benchmark_csv,
 import ocp.newton as newton
 from ocp.newton import SolveReport
 import ocp.schwarz as schwarz
+from ocp.system import Nonlinearity
 
 # mild, fast configuration reused by most orchestration tests
 MILD = dict(n=12, nu=1e-2, k_tilde=2, eps_min=1e-3)
@@ -34,6 +35,19 @@ MILD = dict(n=12, nu=1e-2, k_tilde=2, eps_min=1e-3)
 def mild_config(**kwargs):
     merged = {**MILD, **kwargs}
     return build_config(overrides=merged)
+
+
+@pytest.fixture
+def overflow_from_second_jacobian(monkeypatch):
+    """phi''(y) overflows from the second Jacobian assembly on."""
+    real = Nonlinearity.second_derivative
+    calls = []
+
+    def second_derivative(self, s, check=True):
+        calls.append(s)
+        return real(self, s if len(calls) == 1 else np.full_like(s, np.inf), check)
+
+    monkeypatch.setattr(Nonlinearity, "second_derivative", second_derivative)
 
 
 class TestConfig:
@@ -271,6 +285,18 @@ class TestRunSingle:
         for name in ("y.csv", "p.csv", "u.csv"):
             read_field_csv(tmp_path / name, Grid(cfg.n))
 
+    def test_nonfinite_jacobian_writes_artifacts(self, tmp_path,
+                                                 overflow_from_second_jacobian):
+        code, data = run_single(mild_config(method="newton-eps"), tmp_path)
+        assert code == 3
+        assert not data["converged"]
+        assert data["failure"].startswith("nonfinite value in phi''(y)")
+        assert data["outer_iters"] == 1
+        assert len(data["residual_history"]) == 2
+        assert read_report_json(tmp_path / "report.json") == data
+        for name in ("y.csv", "p.csv", "u.csv"):
+            read_field_csv(tmp_path / name, Grid(12))
+
 
 class TestRunTable:
     def test_mono_protocol_layout(self, tmp_path):
@@ -353,6 +379,29 @@ class TestStudies:
         summary = read_report_json(tmp_path / "rate.json")
         assert summary["slope"] == slope
 
+    def test_rate_study_warm_starts_match_cold_solves(self, tmp_path,
+                                                      monkeypatch):
+        from ocp.harness.experiments import _continuation_solve
+        from ocp.system import construct_plateau_problem, split_pair
+        assemblies = []
+        real = experiments.jacobian
+
+        def counted(x, spec, eps):
+            assemblies.append(eps)
+            return real(x, spec, eps)
+
+        monkeypatch.setattr(experiments, "jacobian", counted)
+        rows, _ = rate_study(16, [1e-1, 1e-2, 1e-3], tmp_path)
+        warm = len(assemblies)
+        grid = Grid(16)
+        spec, _ = construct_plateau_problem(grid)
+        y_ref, p_ref = split_pair(_continuation_solve(spec, 1e-12, 1e-10))
+        for eps, err in rows:
+            y, p = split_pair(_continuation_solve(spec, eps, 1e-10))
+            cold = np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))
+            assert err == pytest.approx(cold, rel=1e-6)
+        assert warm < len(assemblies) - warm
+
     def test_rate_study_rejects_bad_reference(self, tmp_path):
         with pytest.raises(ValueError, match="eps_ref"):
             rate_study(16, [1e-1, 1e-2], tmp_path, eps_ref=1e-2)
@@ -423,6 +472,15 @@ class TestCli:
         code = main(["solve", "--out", str(tmp_path)])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_nonfinite_jacobian_exit_three(self, tmp_path, capsys,
+                                           overflow_from_second_jacobian):
+        code = main(["solve", "--method", "newton-eps", "--n", "12",
+                     "--nu", "1e-2", "--k-tilde", "2", "--eps-min", "1e-3",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "FAILED (nonfinite value in phi''(y)" in capsys.readouterr().out
+        assert read_report_json(tmp_path / "report.json")["outer_iters"] == 1
 
     def test_table_exit_codes(self, tmp_path):
         code = main(["table", "raspen", "--n", "12", "--nu", "1e-2",

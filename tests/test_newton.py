@@ -6,18 +6,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ocp.grid import Grid
+from ocp.grid import Grid, NonfiniteFieldError
 import ocp.krylov as krylov
 from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
-                        NewtonConfig, SolverFault, backtrack,
+                        NewtonConfig, Ordered, SolverFault, backtrack,
                         newton_continuation, sparse_lu)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (LocalSolveError, build_local_systems, decompose,
                          ras_preconditioner, raspen_residual)
-from ocp.system import (construct_test_problem, jacobian, pair_jacobian,
-                        residual, split_pair)
+from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
+                        pair_jacobian, residual, split_pair)
 
 
 def test_schedule_validation():
@@ -215,7 +215,7 @@ def test_nonfinite_initial_guess_rejected():
 
 def test_solver_faults_share_one_base():
     for fault in (LineSearchError, LinearSolveError, LocalSolveError,
-                  GmresBreakdownError):
+                  GmresBreakdownError, NonfiniteFieldError):
         assert issubclass(fault, SolverFault)
     assert issubclass(SolverFault, RuntimeError)
     assert SolverFault is krylov.SolverFault
@@ -338,9 +338,17 @@ def test_stiff_block_solves_without_warnings(mu):
     assert min(report.alphas) < 1.0
 
 
+def block_jacobian(a, y, p, spec, eps):
+    """Reference assembly of the pair Jacobian, block by block in natural order."""
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
+    a11 = a + sp.diags(dphi_y)
+    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csc")
+
+
 def stiff_jacobians(n, mu):
     """Monolithic and 2x2 local Jacobians along a continuation solve of the
-    stiff sweep block nu=1e-8, with the residual at the same iterate."""
+    stiff sweep block nu=1e-8, each with its natural-order reference and the
+    residual at the same iterate."""
     grid = Grid(n)
     iterates = []
 
@@ -357,23 +365,28 @@ def stiff_jacobians(n, mu):
     dec = decompose(grid, 2, 2, 2)
     systems = build_local_systems(dec, spec)
     for x, eps in iterates[::3]:
-        yield jacobian(x, spec, eps), -residual(x, spec, eps, check=False)
+        yield (jacobian(x, spec, eps),
+               block_jacobian(spec.a, *split_pair(x), spec, eps),
+               -residual(x, spec, eps, check=False))
         for sub, loc in zip(dec.subdomains, systems):
             v = x[sub.pair_idx]
             rhs = -residual(x, spec, eps, check=False)[sub.pair_idx]
-            yield pair_jacobian(loc.a_loc, *split_pair(v), spec, eps), rhs
+            yield (pair_jacobian(loc.pattern, *split_pair(v), spec, eps),
+                   block_jacobian(loc.a_loc, *split_pair(v), spec, eps), rhs)
 
 
 class TestSparseLU:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("mu", [1.0, 1e-4])
     def test_matches_pivoted_lu_on_stiff_block(self, n, mu):
-        for jac, rhs in stiff_jacobians(n, mu):
-            jac = jac.tocsc()
+        # the ordered symmetric-mode factor against splu's defaults on the
+        # natural-order matrix
+        for jac, reference, rhs in stiff_jacobians(n, mu):
+            assert isinstance(jac, Ordered)
             lu, fallbacks = sparse_lu(jac, spla.splu)
             assert fallbacks == 0
             d = lu.solve(rhs)
-            d_ref = spla.splu(jac).solve(rhs)
+            d_ref = spla.splu(reference).solve(rhs)
             assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
 
     @staticmethod
@@ -432,6 +445,22 @@ class TestSparseLU:
         assert report.lu_fallbacks == 1
         np.testing.assert_array_equal(x, x_ref)
 
+    def test_spoiled_ordered_factor_falls_back_once(self):
+        grid = Grid(6)
+        spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=1)
+        rng = np.random.default_rng(6)
+        x = 0.3 * rng.standard_normal(2 * grid.size)
+        jac = jacobian(x, spec, 1e-2)
+        rhs = rng.standard_normal(2 * grid.size)
+        splu, calls = self.spoiled_splu(lambda z: z * (1.0 + 1e-8))
+        lu, fallbacks = sparse_lu(jac, splu)
+        assert fallbacks == 1
+        # the ordered matrix is factored as stored, then with the defaults
+        assert [call.get("permc_spec") for call in calls] == ["NATURAL", None]
+        expected = np.empty_like(rhs)
+        expected[jac.order] = spla.splu(jac.stored).solve(rhs[jac.order])
+        np.testing.assert_array_equal(lu.solve(rhs), expected)
+
     def test_singular_matrix_raises_like_splu(self):
         jac = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]))
         with pytest.raises(RuntimeError) as expected:
@@ -449,11 +478,13 @@ class TestSparseLU:
         dec = decompose(grid, 1, 3, 1)
         bad_size = dec.subdomains[bad].size
 
-        def singular_pair_jacobian(a, y, p, spec, eps):
-            jac = pair_jacobian(a, y, p, spec, eps)
-            if a.shape[0] == bad_size:
-                jac = sp.diags(np.r_[0.0, np.ones(jac.shape[0] - 1)]) @ jac
-            return jac.tocsr()
+        def singular_pair_jacobian(pattern, y, p, spec, eps):
+            jac = pair_jacobian(pattern, y, p, spec, eps)
+            if y.shape[0] == bad_size:
+                first_row_zero = sp.diags(np.r_[0.0, np.ones(jac.order.size - 1)])
+                jac = Ordered((first_row_zero @ jac.stored).tocsc(), jac.order,
+                              jac.position)
+            return jac
 
         monkeypatch.setattr(schwarz, "pair_jacobian", singular_pair_jacobian)
         x = np.zeros(2 * grid.size)

@@ -1,18 +1,24 @@
 """Decomposition index machinery, RAS preconditioning, and the RASPEN solver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ocp.grid import Grid
+from ocp.harness.config import build_config
+from ocp.harness.experiments import solve_single
 from ocp.krylov import KrylovConfig, gmres
+import ocp.newton as newton
 from ocp.newton import ContinuationSchedule, NewtonConfig, newton_continuation
 import ocp.schwarz as schwarz
 from ocp.schwarz import (LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
-from ocp.system import (construct_test_problem, jacobian, pair_jacobian,
-                        residual, split_pair)
+import ocp.system as system
+from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
+                        pair_jacobian, residual, split_pair)
 
 
 def mild_problem(n):
@@ -30,6 +36,19 @@ def solve_monolithic(spec, eps, tol=1e-12):
         ContinuationSchedule.fixed(eps), NewtonConfig(tol=tol))
     assert report.converged, report.failure
     return x
+
+
+def block_jacobian(a, y, p, spec, eps):
+    """Reference assembly of the pair Jacobian, block by block in natural order."""
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
+    a11 = a + sp.diags(dphi_y)
+    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
+
+
+def to_natural(jac):
+    """The natural-order CSR matrix of an ordered Jacobian."""
+    position = np.argsort(jac.order)
+    return jac.stored[position][:, position].tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +174,73 @@ class TestLocalSystems:
         systems = build_local_systems(dec, spec)
         rng = np.random.default_rng(11)
         x = 0.3 * rng.standard_normal(2 * grid.size)
-        jac_glob = jacobian(x, spec, 1e-2).tocsr()
+        jac_glob = to_natural(jacobian(x, spec, 1e-2))
         for sub, loc in zip(dec.subdomains, systems):
             restricted = jac_glob[sub.pair_idx, :][:, sub.pair_idx]
-            local = pair_jacobian(loc.a_loc, *split_pair(x[sub.pair_idx]),
-                                  spec, 1e-2)
+            local = to_natural(pair_jacobian(loc.pattern, *split_pair(x[sub.pair_idx]),
+                                             spec, 1e-2))
             diff = (restricted - local).tocoo()
             assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
+class TestJacobianPattern:
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-10])
+    def test_ordered_assembly_equals_block_assembly(self, eps):
+        # bitwise, for the global operator and each 2x2 local operator, at
+        # two points assembled one after the other on the same pattern
+        grid, spec = mild_problem(10)
+        dec = decompose(grid, 2, 2, 2)
+        rng = np.random.default_rng(17)
+        cases = [(spec.pattern, spec.a, None)] + [
+            (loc.pattern, loc.a_loc, sub.pair_idx)
+            for sub, loc in zip(dec.subdomains, build_local_systems(dec, spec))]
+        for pattern, a, idx in cases:
+            assembled = []
+            for scale in (0.3, 3.0):
+                x = scale * rng.standard_normal(2 * grid.size)
+                v = x if idx is None else x[idx]
+                assembled.append((pair_jacobian(pattern, *split_pair(v), spec, eps),
+                                  block_jacobian(a, *split_pair(v), spec, eps)))
+            for jac, expected in assembled:
+                np.testing.assert_array_equal(to_natural(jac).toarray(),
+                                              expected.toarray())
+
+    def test_order_keeps_each_point_pair_adjacent(self):
+        grid, spec = mild_problem(10)
+        order = spec.pattern.order
+        np.testing.assert_array_equal(np.sort(order), np.arange(2 * grid.size))
+        np.testing.assert_array_equal(order[1::2], order[0::2] + grid.size)
+
+    def test_build_local_systems_factors_nothing(self, monkeypatch):
+        def no_splu(matrix, **kwargs):
+            raise AssertionError("splu called")
+
+        grid, spec = mild_problem(10)
+        for module in (system, newton, schwarz):
+            monkeypatch.setattr(module, "spla", SimpleNamespace(splu=no_splu))
+        systems = build_local_systems(decompose(grid, 2, 2, 2), spec)
+        # the patterns are left to the first assembly
+        assert all("pattern" not in vars(loc) for loc in systems)
+
+    @pytest.mark.parametrize("method,operators", [
+        ("newton-eps", 1), ("newton-ras-eps", 5), ("raspen-eps", 4)])
+    def test_one_ordering_per_operator_per_solve(self, monkeypatch, method,
+                                                 operators):
+        # the global operator and every local one is ordered once, on its
+        # first assembly, however many Jacobians the solve assembles
+        ordered = []
+        real = system.spla
+
+        def counting_splu(matrix, **kwargs):
+            ordered.append(matrix.shape)
+            return real.splu(matrix, **kwargs)
+
+        monkeypatch.setattr(system, "spla", SimpleNamespace(splu=counting_splu))
+        cfg = build_config(overrides=dict(method=method, n=16, nu=1e-2, k_tilde=2,
+                                          eps_min=1e-3, s1=2, s2=2, overlap=1))
+        _, report, _ = solve_single(cfg)
+        assert report.converged and report.outer_iters > 1
+        assert len(ordered) == operators
 
 
 class TestRasPreconditioner:
@@ -179,7 +258,7 @@ class TestRasPreconditioner:
         grid, spec = mild_problem(8)
         dec = decompose(grid, 1, 1, 0)
         x = np.zeros(2 * grid.size)
-        jac = jacobian(x, spec, 1e-2).tocsr()
+        jac = jacobian(x, spec, 1e-2)
         apply_m = ras_preconditioner(x, dec, spec, 1e-2)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(2 * grid.size)
