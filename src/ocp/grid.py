@@ -48,26 +48,11 @@ class Grid:
     def size(self):
         return self.n * self.n
 
-    def index(self, i, j):
-        """Flat index of interior point (i, j)."""
-        return i * self.n + j
-
-    def coords(self, k):
-        """Inverse of index: (i, j) of flat index k."""
-        return divmod(int(k), self.n)
-
     def points(self):
         """Interior coordinates as flat arrays (x1, x2) matching field indexing."""
         t = self.h * np.arange(1, self.n + 1)
         x1, x2 = np.meshgrid(t, t, indexing="ij")
         return x1.ravel(), x2.ravel()
-
-    def inner(self, u, v):
-        """Mass-lumped L2 inner product with cell weight h^2."""
-        return self.h ** 2 * float(np.dot(u, v))
-
-    def norm(self, u):
-        return float(np.sqrt(self.inner(u, u)))
 
     def h1_norm(self, v):
         """Discrete H1 norm: h^2 cell weight on values and forward differences.
@@ -93,20 +78,6 @@ def build_laplacian(grid):
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / grid.h ** 2).tocsr()
 
 
-def apply_nemytskii(f, v):
-    """Apply a scalar function pointwise to a field, rejecting nonfinite output."""
-    out = np.asarray(f(np.asarray(v, dtype=float)), dtype=float)
-    return check_finite(out, "nemytskii evaluation")
-
-
 def write_field_csv(path, grid, v):
     """Serialize a field: one CSV row per grid row, row-major, full precision."""
     np.savetxt(path, np.asarray(v).reshape(grid.n, grid.n), delimiter=",", fmt="%.17g")
-
-
-def read_field_csv(path, grid):
-    """Inverse of write_field_csv."""
-    vals = np.loadtxt(path, delimiter=",", ndmin=2)
-    if vals.shape != (grid.n, grid.n):
-        raise ValueError(f"field file {path} has shape {vals.shape}, expected {(grid.n, grid.n)}")
-    return vals.ravel()

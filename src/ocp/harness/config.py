@@ -147,12 +147,6 @@ def build_config(file_values=None, overrides=None):
     return ExperimentConfig(**merged)
 
 
-def config_to_text(cfg):
-    """Flat key=value rendering that load_config_file parses back exactly."""
-    # str of a float is its shortest round-trip repr
-    return "".join(f"{key} = {getattr(cfg, key)}\n" for key in FLAT_KEYS)
-
-
 def config_to_dict(cfg):
     """JSON-friendly echo of every config field for report emission."""
     return {f.name: getattr(cfg, f.name) for f in fields(cfg)}

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..grid import Grid, write_field_csv
-from ..krylov import KrylovConfig
+from ..krylov import KrylovConfig, SolverFault
 from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                       newton_continuation)
 from ..schwarz import (build_local_systems, decompose, ras_preconditioner,
@@ -70,7 +70,7 @@ def solve_single(cfg, spec=None):
             inner_tol=cfg.inner_tol, threads=cfg.threads,
             continuation=cfg.uses_continuation), spec)
 
-    residual_fn = lambda x, eps: residual(x, spec, eps, check=False)
+    residual_fn = lambda x, eps: residual(x, spec, eps)
     jacobian_fn = lambda x, eps: jacobian(x, spec, eps)
     if cfg.uses_ras:
         dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
@@ -103,20 +103,30 @@ def sparsity_fraction(u, threshold=SPARSITY_THRESHOLD):
 
 
 def run_single(cfg, out_dir):
-    """One configured solve plus its artifact set; returns (exit_code, report)."""
+    """One configured solve plus its artifact set; returns (exit_code, report).
+
+    A fault in the problem set-up (the manufactured state solve) fails the
+    run before any iterate exists; the artifacts then hold x0 = 0.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x, report, spec = solve_single(cfg)
-    y, p = split_pair(x)
-    u = recover_control(p, spec, cfg.eps_min)
+    grid = Grid(cfg.n)
+    try:
+        x, report, spec = solve_single(cfg)
+    except SolverFault as exc:
+        report = SolveReport(False, 0, failure=str(exc))
+        y = p = u = np.zeros(grid.size)
+    else:
+        y, p = split_pair(x)
+        u = recover_control(p, spec, cfg.eps_min)
 
     data = report_to_dict(config_to_dict(cfg), report,
                           sparsity_fraction=sparsity_fraction(u))
     write_report_json(out / "report.json", data)
     write_residual_history_csv(out / "residual_history.csv", report)
-    write_field_csv(out / "y.csv", spec.grid, y)
-    write_field_csv(out / "p.csv", spec.grid, p)
-    write_field_csv(out / "u.csv", spec.grid, u)
+    write_field_csv(out / "y.csv", grid, y)
+    write_field_csv(out / "p.csv", grid, p)
+    write_field_csv(out / "u.csv", grid, u)
     return (0 if report.converged else 3), data
 
 
@@ -134,7 +144,8 @@ def _benchmark_row(cfg, report):
 def _run_cell(cfg):
     try:
         _, report, _ = solve_single(cfg)
-    except Exception as exc:
+    except (SolverFault, ValueError) as exc:
+        # set-up faults and bad cell configs; a programming error propagates
         report = SolveReport(False, 0, failure=str(exc))
     return _benchmark_row(cfg, report)
 
@@ -215,7 +226,7 @@ def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
     x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
     sched = ContinuationSchedule(max(eps0, eps), 0.2, eps)
     x, report = newton_continuation(
-        x0, lambda z, e: residual(z, spec, e, check=False),
+        x0, lambda z, e: residual(z, spec, e),
         lambda z, e: jacobian(z, spec, e), sched, NewtonConfig(tol=tol))
     if not report.converged:
         raise RuntimeError(f"study solve at eps={eps:g} failed: {report.failure}")
@@ -242,7 +253,7 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
 
     # from a warm start the core's threshold max(tol, tol * ||F(x0)||) is tol,
     # so warm starts get the first solve's threshold, from x0 = 0, as their tol
-    f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]), check=False)
+    f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]))
     warm_tol = max(tol, tol * float(np.linalg.norm(f0)))
     xs = [_continuation_solve(spec, eps_list[0], tol)]
     for eps_prev, eps in zip(eps_list, [*eps_list[1:], eps_ref]):

@@ -197,9 +197,10 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     report = SolveReport(False, 0)
     try:
         r = residual_fn(x, eps)
-        nrm = float(np.linalg.norm(r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = float(np.linalg.norm(r))
         if not np.isfinite(nrm):
-            raise ValueError("nonfinite residual at the initial guess")
+            raise SolverFault("nonfinite residual at the initial guess")
         report.threshold = max(cfg.tol, cfg.tol * nrm)
         report.residual_norms.append(nrm)
         report.eps_values.append(eps)

@@ -182,7 +182,7 @@ def _local_problem(loc, spec, x):
         y, p = v[:size], v[size:]
         r1, r2 = residual_rows(loc.a_loc @ y + e_y, loc.a_loc @ p + e_p, y, p,
                                loc.f_loc, loc.yd_loc, spec.phi, spec.nu,
-                               spec.mu, eps, check=False)
+                               spec.mu, eps)
         return np.concatenate([r1, r2])
 
     def local_jacobian(v, eps):

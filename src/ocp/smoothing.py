@@ -2,13 +2,13 @@
 
 P_eps is the square-root-shifted smoothing of the pointwise projection; d_eps is
 the derivative of the smooth penalty that replaces the L1 norm, defined as the
-unique fixed point of d = P_eps(d + ratio*x) with ratio = nu/mu, and D_eps its
-antiderivative.  All functions are pure; everything vectorizes over x except the
-fixed-point solvers, which are scalar (they serve objective diagnostics only).
+unique fixed point of d = P_eps(d + ratio*x) with ratio = nu/mu.  All functions
+are pure; everything vectorizes over x except the fixed-point solver, which is
+scalar: the solvers work on P_eps alone, and d_eps serves checks of the
+smoothing only.
 """
 
 import numpy as np
-from scipy import integrate
 
 
 def projection(x):
@@ -42,12 +42,6 @@ def smoothed_projection_derivative(x, eps):
     x = np.asarray(x, dtype=float)
     return 0.5 * ((x + 1.0) / np.sqrt((x + 1.0) ** 2 + eps)
                   - (x - 1.0) / np.sqrt((x - 1.0) ** 2 + eps))
-
-
-def projection_error_bound_check(x, eps):
-    """Whether |proj(x) - P_eps(x)| <= sqrt(eps) holds (it always should)."""
-    gap = np.abs(projection(x) - smoothed_projection(x, eps))
-    return bool(np.all(gap <= np.sqrt(eps)))
 
 
 def penalty_derivative(x, eps, ratio, tol=1e-13, max_sweeps=100):
@@ -94,32 +88,3 @@ def penalty_derivative(x, eps, ratio, tol=1e-13, max_sweeps=100):
     if abs(step(d) - d) > tol:
         raise RuntimeError(f"penalty derivative did not reach tol={tol} at eps={eps}")
     return d
-
-
-def penalty_derivative_slope(x, eps, ratio, tol=1e-13):
-    """d'_eps(x) = ratio * P'_eps(z) / (1 - P'_eps(z)) at z = d_eps(x) + ratio*x."""
-    d = penalty_derivative(x, eps, ratio, tol)
-    pe = float(smoothed_projection_derivative(d + ratio * x, eps))
-    return ratio * pe / (1.0 - pe)
-
-
-def penalty_antiderivative(x, eps, ratio, quad_tol=1e-10):
-    """D_eps(x) = integral of d_eps from 0 to x, by adaptive quadrature.
-
-    Nonnegative, even, non-expansive; no closed form exists.
-    """
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    inner_tol = min(0.01 * quad_tol, 1e-13)
-    val, err = integrate.quad(
-        lambda s: penalty_derivative(s, eps, ratio, tol=inner_tol),
-        0.0, x, epsabs=0.5 * quad_tol, epsrel=1e-12, limit=200)
-    # absolute-or-relative acceptance: large |x| gives large integrals whose
-    # absolute quadrature estimate cannot reach quad_tol in double precision
-    if err > max(quad_tol, quad_tol * abs(val)):
-        raise RuntimeError(f"quadrature error estimate {err} above quad_tol={quad_tol}")
-    # the integrand has the sign of s, so the result is nonnegative up to quadrature noise
-    return val if val > 0.0 else 0.0

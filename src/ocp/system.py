@@ -21,59 +21,57 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, build_laplacian, check_finite
+from .krylov import SolverFault
 from .newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
-from .smoothing import (penalty_antiderivative, smoothed_projection,
-                        smoothed_projection_derivative)
+from .smoothing import smoothed_projection, smoothed_projection_derivative
 
 # exp(700) is near the double-precision ceiling; larger arguments only occur
 # on diverging line-search trials, which the caller rejects anyway
 EXP_ARG_MAX = 700.0
 
 
+# phi's polynomial part s^3 and its first two derivatives
+_POLY = (lambda s: s ** 3, lambda s: 3.0 * s ** 2, lambda s: 6.0 * s)
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """The semilinear term phi(s) = kappa (s^3 + exp(kappa s)) and derivatives.
 
-    kappa = 0 gives the linear problem (phi identically zero).  With
-    check=True an argument that would overflow the exponential raises
-    NonfiniteFieldError through check_finite; with check=False the exponent
-    is clamped so line-search trial evaluations stay finite.
+    kappa = 0 gives the linear problem (phi identically zero).  The exponent
+    is clamped at EXP_ARG_MAX, so an evaluation never raises and line-search
+    trials stay usable; only the Jacobian assembly, through _checked, treats
+    a clamped or nonfinite entry as a fault.
     """
 
     kappa: float = 0.1
 
-    def _exp(self, s: np.ndarray) -> np.ndarray:
-        return np.exp(np.minimum(self.kappa * s, EXP_ARG_MAX))
-
-    def value(self, s: np.ndarray, check: bool = True) -> np.ndarray:
+    def _term(self, s: np.ndarray, order: int) -> np.ndarray:
+        """phi's order-th derivative: kappa (poly(s) + kappa^order exp(kappa s))."""
         if self.kappa == 0.0:
             return np.zeros_like(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.kappa * (s ** 3 + self._exp(s))
-        if check:
-            check_finite(np.where(self.kappa * s > EXP_ARG_MAX, np.inf, out),
-                         "phi(y)")
-        return out
+            return self.kappa * (_POLY[order](s) + self.kappa ** order
+                                 * np.exp(np.minimum(self.kappa * s, EXP_ARG_MAX)))
 
-    def derivative(self, s: np.ndarray, check: bool = True) -> np.ndarray:
-        if self.kappa == 0.0:
-            return np.zeros_like(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.kappa * (3.0 * s ** 2 + self.kappa * self._exp(s))
-        if check:
-            check_finite(np.where(self.kappa * s > EXP_ARG_MAX, np.inf, out),
-                         "phi'(y)")
-        return out
+    def value(self, s: np.ndarray) -> np.ndarray:
+        return self._term(s, 0)
 
-    def second_derivative(self, s: np.ndarray, check: bool = True) -> np.ndarray:
-        if self.kappa == 0.0:
-            return np.zeros_like(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.kappa * (6.0 * s + self.kappa ** 2 * self._exp(s))
-        if check:
-            check_finite(np.where(self.kappa * s > EXP_ARG_MAX, np.inf, out),
-                         "phi''(y)")
-        return out
+    def derivative(self, s: np.ndarray) -> np.ndarray:
+        return self._term(s, 1)
+
+    def second_derivative(self, s: np.ndarray) -> np.ndarray:
+        return self._term(s, 2)
+
+
+def _checked(phi: Nonlinearity, s: np.ndarray, values: np.ndarray,
+             where: str) -> np.ndarray:
+    """values (a derivative of phi at s) for a Jacobian: the first entry that
+    is nonfinite or had its exponent clamped raises NonfiniteFieldError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        clamped = phi.kappa * s > EXP_ARG_MAX
+    check_finite(np.where(clamped, np.inf, values), where)
+    return values
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,6 @@ class ProblemSpec:
         return PairPattern(self.a)
 
 
-@dataclass(frozen=True)
-class StatePair:
-    """State/adjoint pair on a shared grid."""
-
-    y: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        if self.y.shape != self.p.shape:
-            raise ValueError("state and adjoint must have the same shape")
-
-
 def merge_pair(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.concatenate([y, p])
 
@@ -121,7 +107,7 @@ def split_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[:n2], x[n2:]
 
 
-def residual_rows(ay, ap, y, p, f, y_d, phi, nu, mu, eps, check=True):
+def residual_rows(ay, ap, y, p, f, y_d, phi, nu, mu, eps):
     """Residual rows given precomputed operator actions ay = A y, ap = A p.
 
     Factored out so local subdomain systems can reuse the exact formulas
@@ -130,11 +116,8 @@ def residual_rows(ay, ap, y, p, f, y_d, phi, nu, mu, eps, check=True):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         control_term = (p + mu * smoothed_projection(-p / mu, eps)) / nu
-        r1 = ay + phi.value(y, check=check) - f + control_term
-        r2 = ap + phi.derivative(y, check=check) * p - y + y_d
-    if check:
-        check_finite(r1, "residual row 1")
-        check_finite(r2, "residual row 2")
+        r1 = ay + phi.value(y) - f + control_term
+        r2 = ap + phi.derivative(y) * p - y + y_d
     return r1, r2
 
 
@@ -143,19 +126,22 @@ def jacobian_diagonals(y, p, phi, nu, mu, eps):
 
     Returns (dphi_y, b12, b21) where the Jacobian is
     [[A + diag(dphi_y), diag(b12)], [diag(b21), A + diag(dphi_y)]].
+    An overflow in phi' or phi'' raises NonfiniteFieldError.
     """
-    dphi_y = phi.derivative(y)
+    dphi_y = _checked(phi, y, phi.derivative(y), "phi'(y)")
     b12 = (1.0 - smoothed_projection_derivative(-p / mu, eps)) / nu
-    b21 = phi.second_derivative(y) * p - 1.0
+    b21 = _checked(phi, y, phi.second_derivative(y), "phi''(y)") * p - 1.0
     return dphi_y, b12, b21
 
 
 def residual(x: np.ndarray, spec: ProblemSpec, eps: float,
-             check: bool = True) -> np.ndarray:
+             check: bool = False) -> np.ndarray:
+    """F_eps(x).  Nonfinite entries are returned, since the line search
+    rejects such trials; check=True raises NonfiniteFieldError instead."""
     y, p = split_pair(x)
-    r1, r2 = residual_rows(spec.a @ y, spec.a @ p, y, p, spec.f, spec.y_d,
-                           spec.phi, spec.nu, spec.mu, eps, check=check)
-    return merge_pair(r1, r2)
+    out = merge_pair(*residual_rows(spec.a @ y, spec.a @ p, y, p, spec.f,
+                                    spec.y_d, spec.phi, spec.nu, spec.mu, eps))
+    return check_finite(out, "residual") if check else out
 
 
 class PairPattern:
@@ -219,53 +205,30 @@ def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
     return -(p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
 
 
-def recover_multiplier(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
-    return smoothed_projection(-p / spec.mu, eps)
-
-
 def solve_state(u: np.ndarray, spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:
     """Solve the semilinear state equation A y + phi(y) = f + u."""
     rhs = spec.f + u
 
-    # check=False: diverging line-search trials must yield nonfinite norms,
-    # not exceptions; the convergence test guards the accepted iterate
     def state_residual(y, eps):
-        return spec.a @ y + spec.phi.value(y, check=False) - rhs
+        return spec.a @ y + spec.phi.value(y) - rhs
 
     def state_jacobian(y, eps):
-        return (spec.a + sp.diags(spec.phi.derivative(y))).tocsr()
+        dphi = _checked(spec.phi, y, spec.phi.derivative(y), "phi'(y)")
+        return (spec.a + sp.diags(dphi)).tocsr()
 
     y, report = newton_continuation(
         np.zeros(spec.grid.size), state_residual, state_jacobian,
         ContinuationSchedule.fixed(1.0), NewtonConfig(tol=tol))
     if not report.converged:
-        raise RuntimeError(f"state solve failed: {report.failure}")
+        raise SolverFault(f"state solve failed: {report.failure}")
     return y
-
-
-def objective(u: np.ndarray, spec: ProblemSpec, eps: float,
-              quad_tol: float = 1e-10) -> float:
-    """Regularized reduced objective with h^2 cell weights.
-
-    J_eps(u) = 1/2 ||S(u) - y_d||^2 + nu/2 ||u||^2 + mu * sum h^2 D_eps(u_i),
-    where D_eps is the penalty antiderivative with ratio nu/mu.
-    """
-    y = solve_state(u, spec)
-    h2 = spec.grid.h ** 2
-    tracking = 0.5 * h2 * float(np.sum((y - spec.y_d) ** 2))
-    tikhonov = 0.5 * spec.nu * h2 * float(np.sum(u ** 2))
-    ratio = spec.nu / spec.mu
-    penalty = h2 * sum(penalty_antiderivative(float(ui), eps, ratio,
-                                              quad_tol=quad_tol)
-                       for ui in u)
-    return tracking + tikhonov + spec.mu * penalty
 
 
 def construct_test_problem(grid: Grid, kappa: float = 0.1, nu: float = 1e-6,
                            mu: float = 1.0, k_tilde: int = 5,
                            eps_construct: float = 1e-15
-                           ) -> tuple[ProblemSpec, StatePair]:
-    """Manufactured oscillatory problem with a known solution pair.
+                           ) -> tuple[ProblemSpec, tuple[np.ndarray, np.ndarray]]:
+    """Manufactured oscillatory problem and its known solution pair (y, p).
 
     Prescribes the adjoint p(x1,x2) = 1.3 mu sin(2 pi k x1) sin(2 pi k x2),
     recovers the control at eps_construct, solves the state equation, then
@@ -291,7 +254,7 @@ def plateau_profile(x: np.ndarray) -> np.ndarray:
 
 def construct_plateau_problem(grid: Grid, kappa: float = 0.1, nu: float = 1e-6,
                               mu: float = 1.0, eps_construct: float = 1e-15
-                              ) -> tuple[ProblemSpec, StatePair]:
+                              ) -> tuple[ProblemSpec, tuple[np.ndarray, np.ndarray]]:
     """Manufactured problem whose adjoint has |p| = mu on a square."""
     x1, x2 = grid.points()
     p_bar = mu * plateau_profile(x1) * plateau_profile(x2)
@@ -307,7 +270,7 @@ def _manufacture(grid, p_bar, kappa, nu, mu, eps_construct):
     y_bar = solve_state(u_bar, spec)
     y_d = y_bar - a @ p_bar - phi.derivative(y_bar) * p_bar
     spec = dataclasses.replace(spec, y_d=y_d)
-    return spec, StatePair(y=y_bar, p=p_bar)
+    return spec, (y_bar, p_bar)
 
 
 def sparsity_target_problem(grid: Grid, mu: float, kappa: float = 0.1,

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocp.grid import (Grid, NonfiniteFieldError, apply_nemytskii, build_laplacian,
-                      check_finite, read_field_csv, write_field_csv)
+from ocp.grid import (Grid, NonfiniteFieldError, build_laplacian, check_finite,
+                      write_field_csv)
+from support import read_field_csv
 
 
 def test_grid_rejects_empty():
@@ -17,18 +18,10 @@ def test_mesh_width_definition():
         assert Grid(n).h == 1.0 / (n + 1)
 
 
-def test_index_maps_are_inverse():
-    g = Grid(5)
-    for k in range(g.size):
-        i, j = g.coords(k)
-        assert g.index(i, j) == k
-        assert 0 <= i < g.n and 0 <= j < g.n
-
-
 def test_points_match_indexing():
     g = Grid(3)
     x1, x2 = g.points()
-    k = g.index(2, 0)
+    k = 2 * g.n  # (i, j) = (2, 0)
     assert x1[k] == pytest.approx(3 * g.h)
     assert x2[k] == pytest.approx(1 * g.h)
 
@@ -44,10 +37,10 @@ def test_laplacian_two_points():
     # n = 2, h = 1/3: diagonal 4/h^2 = 36, neighbor coupling -1/h^2 = -9
     a = build_laplacian(Grid(2)).toarray()
     assert np.all(np.diag(a) == 36.0)
-    g = Grid(2)
-    assert a[g.index(0, 0), g.index(0, 1)] == -9.0
-    assert a[g.index(0, 0), g.index(1, 0)] == -9.0
-    assert a[g.index(0, 0), g.index(1, 1)] == 0.0
+    # flat indices of (0, 0), (0, 1), (1, 0), (1, 1) are 0, 1, 2, 3
+    assert a[0, 1] == -9.0
+    assert a[0, 2] == -9.0
+    assert a[0, 3] == 0.0
 
 
 def test_laplacian_exactly_symmetric():
@@ -59,9 +52,9 @@ def test_laplacian_row_coupling_is_local():
     g = Grid(6)
     a = build_laplacian(g).tocsr()
     for k in range(g.size):
-        i, j = g.coords(k)
+        i, j = divmod(k, g.n)
         cols = set(a.indices[a.indptr[k]:a.indptr[k + 1]]) - {k}
-        neighbors = {g.index(i + di, j + dj)
+        neighbors = {(i + di) * g.n + j + dj
                      for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
                      if 0 <= i + di < g.n and 0 <= j + dj < g.n}
         assert cols == neighbors
@@ -87,41 +80,16 @@ def test_laplacian_positive_definite(n, seed):
     assert quad > 0.0 or not np.any(v)
 
 
-def test_nemytskii_identity_and_shift():
-    v = np.array([-2.0, 0.5, 3.0])
-    assert np.array_equal(apply_nemytskii(lambda s: s, v), v)
-    kappa = 0.1
-    out = apply_nemytskii(lambda s: kappa * (s ** 3 + np.exp(kappa * s)), np.zeros(4))
-    assert np.allclose(out, kappa)
-    assert np.array_equal(apply_nemytskii(lambda s: np.clip(s, -1, 1), v),
-                          np.array([-1.0, 0.5, 1.0]))
-
-
-def test_nemytskii_commutes_with_permutation():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(30)
-    perm = rng.permutation(30)
-    f = lambda s: np.tanh(s) + s ** 2
-    assert np.array_equal(apply_nemytskii(f, v)[perm], apply_nemytskii(f, v[perm]))
-
-
-def test_nemytskii_reports_offending_index():
-    v = np.array([1.0, 2.0, 3.0])
+def test_check_finite_reports_offending_index():
+    v = np.array([1.0, np.inf, 3.0, np.nan])
     with pytest.raises(NonfiniteFieldError) as info:
-        apply_nemytskii(lambda s: np.where(s == 2.0, np.inf, s), v)
+        check_finite(v, "field")
     assert info.value.index == 1
 
 
 def test_check_finite_passes_clean_fields():
     v = np.arange(5.0)
     assert check_finite(v, "here") is v
-
-
-def test_inner_product_weight():
-    g = Grid(4)
-    u = np.ones(g.size)
-    assert g.inner(u, u) == pytest.approx(g.h ** 2 * g.size)
-    assert g.norm(u) == pytest.approx(g.h * 4.0)
 
 
 def test_h1_norm_on_constant_block():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from ocp.grid import Grid, NonfiniteFieldError, read_field_csv
+from ocp.grid import Grid, NonfiniteFieldError
 from ocp.harness.cli import _config_from_args, build_parser, main
 from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
                                 ExperimentConfig, build_config,
-                                config_to_dict, config_to_text,
-                                load_config_file, parse_subdomains)
+                                config_to_dict, load_config_file,
+                                parse_subdomains)
 import ocp.harness.experiments as experiments
 from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
@@ -27,6 +27,7 @@ import ocp.newton as newton
 from ocp.newton import SolveReport
 import ocp.schwarz as schwarz
 from ocp.system import Nonlinearity
+from support import config_to_text, read_field_csv
 
 # mild, fast configuration reused by most orchestration tests
 MILD = dict(n=12, nu=1e-2, k_tilde=2, eps_min=1e-3)
@@ -43,9 +44,9 @@ def overflow_from_second_jacobian(monkeypatch):
     real = Nonlinearity.second_derivative
     calls = []
 
-    def second_derivative(self, s, check=True):
+    def second_derivative(self, s):
         calls.append(s)
-        return real(self, s if len(calls) == 1 else np.full_like(s, np.inf), check)
+        return real(self, s if len(calls) == 1 else np.full_like(s, np.inf))
 
     monkeypatch.setattr(Nonlinearity, "second_derivative", second_derivative)
 
@@ -361,6 +362,15 @@ class TestRunTable:
         assert {cfg.gamma for cfg in eps_variants} == {0.5, 0.2, 0.1}
         assert {cfg.eps0 for cfg in eps_variants} == {1.0, 1e-3, 1e-5}
 
+    def test_programming_error_in_a_cell_propagates(self, tmp_path,
+                                                    monkeypatch):
+        def broken(cfg):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(experiments, "solve_single", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_table("mono", mild_config(), tmp_path)
+
     def test_unknown_table_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown table"):
             run_table("weekly", mild_config(), tmp_path)
@@ -481,6 +491,25 @@ class TestCli:
         assert code == 3
         assert "FAILED (nonfinite value in phi''(y)" in capsys.readouterr().out
         assert read_report_json(tmp_path / "report.json")["outer_iters"] == 1
+
+    @pytest.mark.parametrize("flag, value, failure", [
+        # the manufactured state solve: its initial residual overflows
+        ("--mu", "1e300", "nonfinite residual at the initial guess"),
+        # the manufactured state solve: its line search gives up
+        ("--nu", "1e-30", "no admissible step"),
+    ])
+    def test_setup_failure_exit_three(self, tmp_path, capsys, flag, value,
+                                      failure):
+        code = main(["solve", "--n", "12", flag, value, "--out", str(tmp_path)])
+        assert code == 3
+        assert "FAILED (state solve failed" in capsys.readouterr().out
+        data = read_report_json(tmp_path / "report.json")
+        assert failure in data["failure"] and not data["converged"]
+        assert data["config"][flag[2:]] == float(value)
+        assert data["outer_iters"] == 0 and data["residual_history"] == []
+        assert read_residual_history_csv(tmp_path / "residual_history.csv") == []
+        for name in ("y.csv", "p.csv", "u.csv"):
+            assert not np.any(read_field_csv(tmp_path / name, Grid(12)))
 
     def test_table_exit_codes(self, tmp_path):
         code = main(["table", "raspen", "--n", "12", "--nu", "1e-2",

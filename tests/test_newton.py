@@ -206,11 +206,16 @@ def test_run_is_deterministic():
 
 
 def test_nonfinite_initial_guess_rejected():
-    with pytest.raises(ValueError):
-        newton_continuation(
-            np.array([np.nan]), lambda x, eps: x.copy(),
-            lambda x, eps: sp.identity(1, format="csr"),
+    for x0, residual_fn in ((np.array([np.nan]), lambda x, eps: x.copy()),
+                            # the norm of a finite residual may still overflow
+                            (np.zeros(2), lambda x, eps: np.full(2, 1e300))):
+        x, report = newton_continuation(
+            x0, residual_fn, lambda x, eps: sp.identity(x.size, format="csr"),
             ContinuationSchedule.fixed(1.0), NewtonConfig())
+        assert not report.converged
+        assert report.failure == "nonfinite residual at the initial guess"
+        assert report.residual_norms == [] and report.outer_iters == 0
+        np.testing.assert_array_equal(x, x0)
 
 
 def test_solver_faults_share_one_base():

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocp.smoothing import (penalty_antiderivative, penalty_derivative,
-                           penalty_derivative_slope, projection,
-                           projection_error_bound_check, smoothed_projection,
+from ocp.smoothing import (penalty_derivative, projection, smoothed_projection,
                            smoothed_projection_derivative)
+from support import penalty_antiderivative
 
 
 def bisect_fixed_point(x, eps, ratio, iters=120):
@@ -84,7 +83,8 @@ def test_derivative_rejects_eps_zero():
 def test_projection_gap_bound_sweep():
     x = np.linspace(-10, 10, 20001)
     for eps in (1.0, 1e-3, 1e-6, 1e-12):
-        assert projection_error_bound_check(x, eps)
+        gap = np.abs(projection(x) - smoothed_projection(x, eps))
+        assert np.all(gap <= np.sqrt(eps))
 
 
 def test_penalty_derivative_at_zero():
@@ -133,30 +133,19 @@ def test_penalty_derivative_validation():
         penalty_derivative(1.0, 1.0, 1.0, tol=0.0)
 
 
-def test_slope_closed_form_at_zero():
-    # d(0) = 0, so the slope formula collapses to ratio * P'(0) / (1 - P'(0))
-    for eps in (1.0, 1e-2):
-        for ratio in (0.3, 1.0):
-            pe = float(smoothed_projection_derivative(0.0, eps))
-            assert penalty_derivative_slope(0.0, eps, ratio) == pytest.approx(
-                ratio * pe / (1.0 - pe), rel=1e-12)
-
-
 def test_slope_matches_finite_differences():
+    # implicit differentiation of d = P_eps(d + ratio*x) at z = d + ratio*x
+    # gives d' = ratio * P'_eps(z) / (1 - P'_eps(z))
     h = 1e-6
     for eps in (1.0, 1e-2):
         for ratio in (0.3, 1.0):
             for x in (-2.0, -0.3, 0.0, 0.7, 5.0):
                 fd = (penalty_derivative(x + h, eps, ratio)
                       - penalty_derivative(x - h, eps, ratio)) / (2 * h)
-                slope = penalty_derivative_slope(x, eps, ratio)
+                pe = float(smoothed_projection_derivative(
+                    penalty_derivative(x, eps, ratio) + ratio * x, eps))
+                slope = ratio * pe / (1.0 - pe)
                 assert slope == pytest.approx(fd, rel=1e-5)
-
-
-def test_slope_is_positive():
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(-50, 50, 100):
-        assert penalty_derivative_slope(float(x), 1e-2, 0.7) > 0.0
 
 
 def test_antiderivative_basics():

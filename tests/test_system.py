@@ -4,13 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocp.grid import Grid, NonfiniteFieldError, build_laplacian
-from ocp.smoothing import penalty_antiderivative
-from ocp.system import (Nonlinearity, ProblemSpec, StatePair,
+from ocp.krylov import SolverFault
+from ocp.smoothing import smoothed_projection
+from ocp.system import (EXP_ARG_MAX, Nonlinearity, ProblemSpec,
                         construct_plateau_problem, construct_test_problem,
-                        jacobian, jacobian_apply, merge_pair, objective,
-                        plateau_profile, recover_control, recover_multiplier,
-                        residual, solve_state, sparsity_target_problem,
-                        split_pair)
+                        jacobian, jacobian_apply, merge_pair, plateau_profile,
+                        recover_control, residual, solve_state,
+                        sparsity_target_problem, split_pair)
+from support import objective, penalty_antiderivative
 
 
 def make_spec(n=4, kappa=0.1, nu=1e-6, mu=1.0, f=None, y_d=None):
@@ -52,15 +53,22 @@ class TestNonlinearity:
         assert np.all(phi.derivative(s) > 0.0)
 
     def test_overflow_checked_mode_raises_with_index(self):
-        phi = Nonlinearity(0.1)
-        with pytest.raises(NonfiniteFieldError) as info:
-            phi.value(np.array([0.0, 1e5, 0.0]))
-        assert info.value.index == 1
+        # phi is checked where the Jacobian is assembled; kappa * y just above
+        # EXP_ARG_MAX stays finite through the clamp and still counts
+        spec = make_spec(n=2, kappa=0.1)
+        for y_over in (1e5, EXP_ARG_MAX / 0.1 + 1.0):
+            y = np.zeros(spec.grid.size)
+            y[1] = y_over
+            x = merge_pair(y, np.ones(spec.grid.size))
+            with pytest.raises(NonfiniteFieldError, match=r"phi'\(y\)") as info:
+                jacobian(x, spec, 1e-2)
+            assert info.value.index == 1
 
     def test_overflow_unchecked_mode_stays_usable(self):
         phi = Nonlinearity(0.1)
-        out = phi.value(np.array([0.0, 1e5]), check=False)
-        assert np.all(np.isfinite(out))
+        s = np.array([0.0, 1e5])
+        for term in (phi.value, phi.derivative, phi.second_derivative):
+            assert np.all(np.isfinite(term(s)))
 
 
 class TestPairLayout:
@@ -70,10 +78,6 @@ class TestPairLayout:
         y2, p2 = split_pair(merge_pair(y, p))
         assert np.array_equal(y, y2)
         assert np.array_equal(p, p2)
-
-    def test_state_pair_shape_check(self):
-        with pytest.raises(ValueError):
-            StatePair(y=np.zeros(3), p=np.zeros(4))
 
     def test_spec_validation(self):
         grid = Grid(2)
@@ -102,17 +106,18 @@ class TestResidual:
         assert np.array_equal(r2, np.zeros(spec.grid.size))
 
     def test_manufactured_pair_is_consistent(self):
-        spec, exact = construct_test_problem(Grid(40))
-        x = merge_pair(exact.y, exact.p)
+        spec, (y_bar, p_bar) = construct_test_problem(Grid(40))
+        x = merge_pair(y_bar, p_bar)
         r1, r2 = split_pair(residual(x, spec, eps=1e-15))
-        u_scale = np.max(np.abs(recover_control(exact.p, spec, 1e-15)))
+        u_scale = np.max(np.abs(recover_control(p_bar, spec, 1e-15)))
         assert np.max(np.abs(r1)) <= 1e-10 * u_scale
-        assert np.max(np.abs(r2)) <= 1e-10 * max(1.0, np.max(np.abs(spec.a @ exact.p)))
+        assert np.max(np.abs(r2)) <= 1e-10 * max(1.0, np.max(np.abs(spec.a @ p_bar)))
 
     def test_unchecked_mode_returns_nonfinite_instead_of_raising(self):
+        # the default: the line search, not the residual, rejects such trials
         spec = make_spec()
         x = np.full(2 * spec.grid.size, 1e160)
-        out = residual(x, spec, eps=1e-2, check=False)
+        out = residual(x, spec, eps=1e-2)
         assert not np.all(np.isfinite(out))
         with pytest.raises(NonfiniteFieldError):
             residual(x, spec, eps=1e-2, check=True)
@@ -171,7 +176,7 @@ class TestRecovery:
         spec = make_spec()
         z = np.zeros(spec.grid.size)
         assert np.array_equal(recover_control(z, spec, 1e-2), z)
-        assert np.array_equal(recover_multiplier(z, spec, 1e-2), z)
+        assert np.array_equal(smoothed_projection(-z / spec.mu, 1e-2), z)
 
     def test_inactive_band_gives_exact_zero_control(self):
         spec = make_spec(mu=1.0)
@@ -181,20 +186,20 @@ class TestRecovery:
     def test_saturated_multiplier(self):
         spec = make_spec(mu=0.5)
         p = np.full(spec.grid.size, -1.0)  # -2 mu
-        assert np.allclose(recover_multiplier(p, spec, eps=0.0), 1.0)
+        assert np.allclose(smoothed_projection(-p / spec.mu, 0.0), 1.0)
 
     def test_stationarity_identity(self):
         spec = make_spec(nu=1e-6, mu=1.0)
         p = 3.0 * np.random.default_rng(7).standard_normal(spec.grid.size)
         u = recover_control(p, spec, 1e-3)
-        lam = recover_multiplier(p, spec, 1e-3)
+        lam = smoothed_projection(-p / spec.mu, 1e-3)
         drift = spec.nu * u + p + spec.mu * lam
         assert np.max(np.abs(drift)) <= 1e-12 * max(1.0, np.max(np.abs(p)))
 
     def test_multiplier_range(self):
         spec = make_spec()
         p = 100.0 * np.random.default_rng(8).standard_normal(spec.grid.size)
-        lam = recover_multiplier(p, spec, 1e-4)
+        lam = smoothed_projection(-p / spec.mu, 1e-4)
         assert np.all(np.abs(lam) <= 1.0)
 
 
@@ -218,6 +223,14 @@ class TestSolveState:
         spec = make_spec(n=4, f=np.full(grid.size, 0.1))
         y = solve_state(np.zeros(grid.size), spec)
         assert np.array_equal(y, np.zeros(grid.size))
+
+    def test_failure_is_a_solver_fault(self):
+        # the initial residual overflows; a SolverFault lets the caller
+        # classify the failed set-up
+        spec = make_spec(n=4)
+        u = np.full(spec.grid.size, 1e300)
+        with pytest.raises(SolverFault, match="state solve failed"):
+            solve_state(u, spec)
 
 
 class TestObjective:
@@ -257,19 +270,19 @@ class TestObjective:
 
 class TestConstructions:
     def test_prescribed_adjoint_value(self):
-        spec, exact = construct_test_problem(Grid(15), k_tilde=5)
-        k = spec.grid.index(3, 3)  # (x1, x2) = (0.25, 0.25)
-        assert exact.p[k] == pytest.approx(1.3, rel=1e-12)
+        spec, (_, p_bar) = construct_test_problem(Grid(15), k_tilde=5)
+        k = 3 * spec.grid.n + 3  # (x1, x2) = (0.25, 0.25)
+        assert p_bar[k] == pytest.approx(1.3, rel=1e-12)
 
     def test_construction_residual_self_consistency(self):
-        spec, exact = construct_test_problem(Grid(15))
-        r = residual(merge_pair(exact.y, exact.p), spec, 1e-15)
-        scale = max(1.0, np.max(np.abs(recover_control(exact.p, spec, 1e-15))))
+        spec, (y_bar, p_bar) = construct_test_problem(Grid(15))
+        r = residual(merge_pair(y_bar, p_bar), spec, 1e-15)
+        scale = max(1.0, np.max(np.abs(recover_control(p_bar, spec, 1e-15))))
         assert np.max(np.abs(r)) <= 1e-9 * scale
 
     def test_manufactured_control_is_banded_sparse(self):
-        spec, exact = construct_test_problem(Grid(40))
-        u = recover_control(exact.p, spec, 1e-15)
+        spec, (_, p_bar) = construct_test_problem(Grid(40))
+        u = recover_control(p_bar, spec, 1e-15)
         fraction = np.mean(np.abs(u) < 1e-8 * np.max(np.abs(u)))
         assert fraction > 0.0
 
@@ -280,15 +293,15 @@ class TestConstructions:
         assert plateau_profile(x)[0] == pytest.approx(2.0 * np.sin(0.2 * np.pi), rel=1e-14)
 
     def test_plateau_adjoint_sits_on_kink(self):
-        spec, exact = construct_plateau_problem(Grid(11), mu=0.7)
+        spec, (_, p_bar) = construct_plateau_problem(Grid(11), mu=0.7)
         # at (0.5, 0.5) both factors are 1, so p = mu there
-        k = spec.grid.index(5, 5)
-        assert exact.p[k] == pytest.approx(0.7, rel=1e-14)
+        k = 5 * spec.grid.n + 5
+        assert p_bar[k] == pytest.approx(0.7, rel=1e-14)
 
     def test_plateau_construction_is_consistent(self):
-        spec, exact = construct_plateau_problem(Grid(12))
-        r = residual(merge_pair(exact.y, exact.p), spec, 1e-15)
-        scale = max(1.0, np.max(np.abs(recover_control(exact.p, spec, 1e-15))))
+        spec, (y_bar, p_bar) = construct_plateau_problem(Grid(12))
+        r = residual(merge_pair(y_bar, p_bar), spec, 1e-15)
+        scale = max(1.0, np.max(np.abs(recover_control(p_bar, spec, 1e-15))))
         assert np.max(np.abs(r)) <= 1e-9 * scale
 
     def test_sparsity_target_spec_shape(self):
