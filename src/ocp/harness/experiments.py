@@ -19,8 +19,8 @@ from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
 from ..schwarz import (build_local_systems, decompose, ras_preconditioner,
                        raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
-                      jacobian, recover_control, residual, split_pair,
-                      sparsity_target_problem)
+                      jacobian, jacobian_operator, recover_control, residual,
+                      split_pair, sparsity_target_problem)
 from .config import config_to_dict
 from .reports import (BenchmarkRow, report_to_dict, write_benchmark_csv,
                       write_pairs_csv, write_report_json,
@@ -71,7 +71,9 @@ def solve_single(cfg, spec=None):
             continuation=cfg.uses_continuation), spec)
 
     residual_fn = lambda x, eps: residual(x, spec, eps)
-    jacobian_fn = lambda x, eps: jacobian(x, spec, eps)
+    # GMRES needs only products; the assembled, ordered Jacobian is for factoring
+    matrix_free = cfg.uses_ras or cfg.linear_solver == "gmres"
+    jacobian_fn = lambda x, eps: (jacobian_operator if matrix_free else jacobian)(x, spec, eps)
     if cfg.uses_ras:
         dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
         systems = build_local_systems(dec, spec)
@@ -229,7 +231,7 @@ def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
         x0, lambda z, e: residual(z, spec, e),
         lambda z, e: jacobian(z, spec, e), sched, NewtonConfig(tol=tol))
     if not report.converged:
-        raise RuntimeError(f"study solve at eps={eps:g} failed: {report.failure}")
+        raise SolverFault(f"study solve at eps={eps:g} failed: {report.failure}")
     return x
 
 
@@ -241,50 +243,58 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     previous solution with eps running from the previous eps.  Errors use
     the discrete H1 norm (zero-extended forward differences, h^2 cell
     weight) on the combined state/adjoint pair; the fitted slope is the
-    least-squares line of log error against log eps.
+    least-squares line of log error against log eps.  A SolverFault still
+    writes rate.json, with the failure and a null slope, then propagates.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(n)
-    spec, _ = construct_plateau_problem(grid, kappa=kappa, nu=nu, mu=mu)
     eps_list = sorted(eps_list, reverse=True)
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
-
-    # from a warm start the core's threshold max(tol, tol * ||F(x0)||) is tol,
-    # so warm starts get the first solve's threshold, from x0 = 0, as their tol
-    f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]))
-    warm_tol = max(tol, tol * float(np.linalg.norm(f0)))
-    xs = [_continuation_solve(spec, eps_list[0], tol)]
-    for eps_prev, eps in zip(eps_list, [*eps_list[1:], eps_ref]):
-        xs.append(_continuation_solve(spec, eps, warm_tol, xs[-1], eps_prev))
-    y_ref, p_ref = split_pair(xs.pop())
-    rows = [(eps, float(np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))))
-            for eps, (y, p) in zip(eps_list, map(split_pair, xs))]
-    slope = float(np.polyfit(np.log([e for e, _ in rows]),
-                             np.log([max(r, 1e-300) for _, r in rows]), 1)[0])
-    write_pairs_csv(out / "rate.csv", ["eps", "h1_error"], rows)
-    write_report_json(out / "rate.json",
-                      {"schema": 1, "n": n, "eps_ref": eps_ref, "slope": slope,
-                       "nu": nu, "mu": mu, "kappa": kappa})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    grid = Grid(n)
+    rows, slope, failure = [], None, None
+    try:
+        spec, _ = construct_plateau_problem(grid, kappa=kappa, nu=nu, mu=mu)
+        # from a warm start the core's threshold max(tol, tol * ||F(x0)||) is
+        # tol, so warm starts get the first solve's threshold, from x0 = 0
+        f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]))
+        warm_tol = max(tol, tol * float(np.linalg.norm(f0)))
+        xs = [_continuation_solve(spec, eps_list[0], tol)]
+        for eps_prev, eps in zip(eps_list, [*eps_list[1:], eps_ref]):
+            xs.append(_continuation_solve(spec, eps, warm_tol, xs[-1], eps_prev))
+        y_ref, p_ref = split_pair(xs.pop())
+        rows = [(eps, float(np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))))
+                for eps, (y, p) in zip(eps_list, map(split_pair, xs))]
+        slope = float(np.polyfit(np.log([e for e, _ in rows]),
+                                 np.log([max(r, 1e-300) for _, r in rows]), 1)[0])
+    except SolverFault as exc:
+        failure = str(exc)
+        raise
+    finally:
+        write_pairs_csv(out / "rate.csv", ["eps", "h1_error"], rows)
+        write_report_json(out / "rate.json",
+                          {"schema": 1, "n": n, "eps_ref": eps_ref, "slope": slope,
+                           "failure": failure, "nu": nu, "mu": mu, "kappa": kappa})
     return rows, slope
 
 
 def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
                    tol=1e-10, dump_fields=True):
-    """Sparsity fraction of the recovered control over a (mu, eps) grid."""
+    """Sparsity fraction of the recovered control over a (mu, eps) grid; a
+    SolverFault still writes the cells completed before it, then propagates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(n)
     rows = []
-    for mu in mu_list:
-        spec = sparsity_target_problem(grid, mu=mu, kappa=kappa, nu=nu)
-        for eps in eps_list:
-            x = _continuation_solve(spec, eps, tol)
-            _, p = split_pair(x)
-            u = recover_control(p, spec, eps)
-            rows.append((mu, eps, sparsity_fraction(u)))
-            if dump_fields:
-                write_field_csv(out / f"u_mu{mu:g}_eps{eps:g}.csv", grid, u)
-    write_pairs_csv(out / "sparsity.csv", ["mu", "eps", "fraction"], rows)
+    try:
+        for mu in mu_list:
+            spec = sparsity_target_problem(grid, mu=mu, kappa=kappa, nu=nu)
+            for eps in eps_list:
+                _, p = split_pair(_continuation_solve(spec, eps, tol))
+                u = recover_control(p, spec, eps)
+                rows.append((mu, eps, sparsity_fraction(u)))
+                if dump_fields:
+                    write_field_csv(out / f"u_mu{mu:g}_eps{eps:g}.csv", grid, u)
+    finally:
+        write_pairs_csv(out / "sparsity.csv", ["mu", "eps", "fraction"], rows)
     return rows

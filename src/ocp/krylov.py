@@ -1,10 +1,12 @@
-"""Matrix-free GMRES with modified Gram-Schmidt Arnoldi and optional left preconditioning.
+"""Matrix-free GMRES with CGS2 Arnoldi and optional left preconditioning.
 
 The operator and preconditioner are plain callables on vectors.  Preconditioning
 is applied on the left, so the convergence test and the reported residual
 history live in the preconditioned norm; iteration counts must be read with
 that convention in mind.  One Arnoldi cycle without restart, so the residual
-history is non-increasing and directly comparable across runs.
+history is non-increasing and directly comparable across runs.  The basis is the
+rows of a (cap + 1, n) array, orthogonalized by classical Gram-Schmidt run twice
+(CGS2: two BLAS-2 passes h = Q w, w -= Q^T h; Giraud, Langou, Rozloznik 2005).
 """
 
 from dataclasses import dataclass, field
@@ -73,12 +75,10 @@ def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):
     """One Arnoldi cycle starting from residual r0 with norm beta."""
     n = r0.shape[0]
     cap = min(32, max_steps)
-    q = np.empty((n, cap + 1))
-    q[:, 0] = r0 / beta
+    q = np.empty((cap + 1, n))
+    q[0] = r0 / beta
     # Hessenberg columns after Givens rotations, the rotations, and the rhs
-    h_cols = []
-    cs = []
-    sn = []
+    h_cols, cs, sn = [], [], []
     g = np.zeros(max_steps + 1)
     g[0] = beta
 
@@ -88,24 +88,25 @@ def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):
     for j in range(max_steps):
         if j + 1 > cap:
             cap = min(2 * cap, max_steps)
-            grown = np.empty((n, cap + 1))
-            grown[:, :j + 1] = q[:, :j + 1]
+            grown = np.empty((cap + 1, n))
+            grown[:j + 1] = q[:j + 1]
             q = grown
         # copy: identity-like operators may hand back a view of the basis
-        # column, and the in-place orthogonalization must not touch q
-        w = np.array(apply_m(apply_op(q[:, j])), dtype=float, copy=True)
-        h = np.empty(j + 2)
+        # row, and the in-place orthogonalization must not touch q
+        w = np.array(apply_m(apply_op(q[j])), dtype=float, copy=True)
+        basis, h = q[:j + 1], np.zeros(j + 2)
         with np.errstate(invalid="ignore", over="ignore"):
-            for i in range(j + 1):
-                h[i] = float(np.dot(q[:, i], w))
-                w -= h[i] * q[:, i]
+            for _ in range(2):
+                coeffs = basis @ w
+                w -= coeffs @ basis
+                h[:j + 1] += coeffs
             h[j + 1] = float(np.linalg.norm(w))
         if not np.all(np.isfinite(h)):
             raise GmresBreakdownError(f"nonfinite Arnoldi entries at iteration {j + 1}")
 
         happy = h[j + 1] <= 1e-14 * max(1.0, float(np.max(np.abs(h[:j + 1]))))
         if not happy:
-            q[:, j + 1] = w / h[j + 1]
+            q[j + 1] = w / h[j + 1]
 
         for i in range(j):
             hi = cs[i] * h[i] + sn[i] * h[i + 1]
@@ -134,4 +135,4 @@ def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):
     y = np.zeros(steps)
     for i in range(steps - 1, -1, -1):
         y[i] = (g[i] - float(np.dot(rmat[i, i + 1:], y[i + 1:]))) / rmat[i, i]
-    return x + q[:, :steps] @ y, residual, steps, converged
+    return x + y @ q[:steps], residual, steps, converged

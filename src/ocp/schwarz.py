@@ -12,8 +12,8 @@ Three layers on top of a rectangular tiling with m-cell overlap:
 Each subdomain's local correction and the factorization at its result run as
 one task of a parallel map over subdomains; recombination writes are disjoint
 by the ownership partition, so the result is independent of thread
-scheduling.  The per-matvec local triangular solves inside the outer
-GMRES are microseconds at the scales handled here and stay sequential.
+scheduling.  The per-matvec local triangular solves inside the outer GMRES
+stay sequential; at n=128 on 2x2 each takes about 1.3 ms on a 2-core host.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -190,19 +190,26 @@ def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> Ordered:
     return pair_jacobian(spec.pattern, *split_pair(x), spec, eps)
 
 
+def jacobian_operator(x: np.ndarray, spec: ProblemSpec, eps: float):
+    """d -> F_eps'(x) d without assembly; the diagonals are checked once, here."""
+    dphi_y, b12, b21 = jacobian_diagonals(*split_pair(x), spec.phi, spec.nu, spec.mu, eps)
+
+    def apply(d):
+        dy, dp = split_pair(d)
+        return merge_pair(spec.a @ dy + dphi_y * dy + b12 * dp,
+                          b21 * dy + spec.a @ dp + dphi_y * dp)
+    return apply
+
+
 def jacobian_apply(x: np.ndarray, d: np.ndarray, spec: ProblemSpec,
                    eps: float) -> np.ndarray:
     """Directional derivative of the residual at x, applied matrix-free."""
-    y, p = split_pair(x)
-    dy, dp = split_pair(d)
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
-    out1 = spec.a @ dy + dphi_y * dy + b12 * dp
-    out2 = b21 * dy + spec.a @ dp + dphi_y * dp
-    return merge_pair(out1, out2)
+    return jacobian_operator(x, spec, eps)(d)
 
 
 def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
-    return -(p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme mu / nu
+        return -(p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
 
 
 def solve_state(u: np.ndarray, spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:

@@ -23,6 +23,7 @@ from ocp.harness.reports import (BenchmarkRow, read_benchmark_csv,
                                  read_pairs_csv, read_report_json,
                                  read_residual_history_csv, report_to_dict,
                                  write_benchmark_csv, write_pairs_csv)
+from ocp.krylov import SolverFault
 import ocp.newton as newton
 from ocp.newton import SolveReport
 import ocp.schwarz as schwarz
@@ -387,7 +388,7 @@ class TestStudies:
         assert header == ["eps", "h1_error"]
         assert [tuple(row) for row in parsed] == [tuple(row) for row in rows]
         summary = read_report_json(tmp_path / "rate.json")
-        assert summary["slope"] == slope
+        assert summary["slope"] == slope and summary["failure"] is None
 
     def test_rate_study_warm_starts_match_cold_solves(self, tmp_path,
                                                       monkeypatch):
@@ -425,6 +426,32 @@ class TestStudies:
         x1 = _continuation_solve(spec, 1e-2, 1e-10)
         x2 = _continuation_solve(spec, 1e-2, 1e-10)
         np.testing.assert_array_equal(x1, x2)
+
+    def test_continuation_solve_failure_is_a_solver_fault(
+            self, overflow_from_second_jacobian):
+        from ocp.harness.experiments import _continuation_solve
+        from ocp.system import construct_plateau_problem
+        spec, _ = construct_plateau_problem(Grid(12))
+        with pytest.raises(SolverFault, match="study solve at eps=0.01 failed"):
+            _continuation_solve(spec, 1e-2, 1e-10)
+
+    def test_sparsity_fault_keeps_the_completed_cells(self, tmp_path,
+                                                      monkeypatch):
+        real = experiments._continuation_solve
+        calls = []
+
+        def fail_third(spec, eps, tol):
+            calls.append(eps)
+            if len(calls) == 3:
+                raise SolverFault("injected")
+            return real(spec, eps, tol)
+
+        monkeypatch.setattr(experiments, "_continuation_solve", fail_third)
+        with pytest.raises(SolverFault, match="injected"):
+            sparsity_study([1e-4, 1e-3], [1.0, 1e-11], 12, tmp_path)
+        header, parsed = read_pairs_csv(tmp_path / "sparsity.csv")
+        assert header == ["mu", "eps", "fraction"]
+        assert [tuple(row[:2]) for row in parsed] == [(1e-4, 1.0), (1e-4, 1e-11)]
 
     def test_sparsity_study_outputs(self, tmp_path):
         rows = sparsity_study([1e-4, 1e-3], [1.0, 1e-11], 16, tmp_path)
@@ -492,6 +519,32 @@ class TestCli:
         assert "FAILED (nonfinite value in phi''(y)" in capsys.readouterr().out
         assert read_report_json(tmp_path / "report.json")["outer_iters"] == 1
 
+    def test_nonfinite_jacobian_on_the_gmres_path_exit_three(self, tmp_path,
+                                                             capsys, monkeypatch):
+        # newton-ras-eps at 2x2 evaluates phi'' once per step for the
+        # matrix-free global operator, then once per local factor; only the
+        # second step's global evaluation overflows
+        real = Nonlinearity.second_derivative
+        calls = []
+
+        def second_derivative(self, s):
+            calls.append(s)
+            return real(self, np.full_like(s, np.inf) if len(calls) == 6 else s)
+
+        monkeypatch.setattr(Nonlinearity, "second_derivative", second_derivative)
+        code = main(["solve", "--method", "newton-ras-eps", "--n", "12",
+                     "--nu", "1e-2", "--k-tilde", "2", "--eps-min", "1e-3",
+                     "--subdomains", "2x2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "FAILED (nonfinite value in phi''(y)" in capsys.readouterr().out
+        data = read_report_json(tmp_path / "report.json")
+        assert data["outer_iters"] == 1 and len(data["residual_history"]) == 2
+        assert len(read_residual_history_csv(tmp_path / "residual_history.csv")) == 2
+        # the fields hold the iterate after the one step taken
+        assert np.any(read_field_csv(tmp_path / "y.csv", Grid(12)))
+        for name in ("p.csv", "u.csv"):
+            read_field_csv(tmp_path / name, Grid(12))
+
     @pytest.mark.parametrize("flag, value, failure", [
         # the manufactured state solve: its initial residual overflows
         ("--mu", "1e300", "nonfinite residual at the initial guess"),
@@ -529,6 +582,16 @@ class TestCli:
         code = main(["rate", "--n", "12", "--eps-list", "1e-1",
                      "--eps-ref", "0.5", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_rate_setup_failure_exit_three(self, tmp_path, capsys):
+        code = main(["rate", "--n", "12", "--mu", "1e300", "--eps-list",
+                     "1e-1,1e-2", "--out", str(tmp_path)])
+        assert code == 3
+        assert "state solve failed" in capsys.readouterr().err
+        summary = read_report_json(tmp_path / "rate.json")
+        assert summary["slope"] is None and summary["mu"] == 1e300
+        assert "nonfinite residual at the initial guess" in summary["failure"]
+        assert read_pairs_csv(tmp_path / "rate.csv") == (["eps", "h1_error"], [])
 
     def test_sparsity_subcommand(self, tmp_path):
         code = main(["sparsity", "--n", "12", "--mu-list", "1e-3",

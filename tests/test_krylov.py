@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocp.grid import Grid
 from ocp.krylov import GmresBreakdownError, KrylovConfig, gmres
+from ocp.system import construct_test_problem, jacobian_operator, merge_pair
 
 
 def matvec(a):
@@ -85,6 +87,28 @@ def test_iteration_cap_reports_no_convergence():
     result = gmres(matvec(a), b, KrylovConfig(rel_tol=1e-14, max_iters=5))
     assert not result.converged
     assert result.iters == 5
+
+
+@pytest.mark.parametrize("point", ["zero", "solution"])
+def test_basis_stays_orthogonal_on_a_hard_operator(point):
+    # the unpreconditioned n=32, nu=1e-8 pair Jacobian takes 150-400 steps;
+    # without a preconditioner apply_op receives exactly the basis vectors
+    spec, (y, p) = construct_test_problem(Grid(32), nu=1e-8, k_tilde=2)
+    x = merge_pair(y, p) if point == "solution" else np.zeros(2 * spec.grid.size)
+    jac = jacobian_operator(x, spec, 1e-10)
+    basis = []
+
+    def apply_op(v):
+        basis.append(v.copy())
+        return jac(v)
+
+    b = np.random.default_rng(8).standard_normal(x.size)
+    result = gmres(apply_op, b, KrylovConfig(rel_tol=1e-10, max_iters=1000))
+    assert result.converged and result.iters >= 100
+    q = np.array(basis)
+    assert np.linalg.norm(np.eye(len(q)) - q @ q.T, 2) <= 1e-12
+    true_residual = np.linalg.norm(b - jac(result.x))
+    assert abs(true_residual - result.residual) <= 1e-11 * np.linalg.norm(b)
 
 
 def test_nonfinite_operator_raises():

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from ocp.grid import Grid
 from ocp.harness.config import build_config
+import ocp.harness.experiments as experiments
 from ocp.harness.experiments import solve_single
 from ocp.krylov import KrylovConfig, gmres
 import ocp.newton as newton
@@ -223,11 +224,13 @@ class TestJacobianPattern:
         assert all("pattern" not in vars(loc) for loc in systems)
 
     @pytest.mark.parametrize("method,operators", [
-        ("newton-eps", 1), ("newton-ras-eps", 5), ("raspen-eps", 4)])
+        ("newton-eps", 1), ("newton-ras-eps", 4), ("raspen-eps", 4)])
     def test_one_ordering_per_operator_per_solve(self, monkeypatch, method,
                                                  operators):
-        # the global operator and every local one is ordered once, on its
-        # first assembly, however many Jacobians the solve assembles
+        # every operator that is factored, the global one on the direct path
+        # and each local one, is ordered once, on its first assembly, however
+        # many Jacobians the solve assembles; GMRES applies the global
+        # Jacobian matrix-free, so newton-ras-eps orders only its 4 locals
         ordered = []
         real = system.spla
 
@@ -241,6 +244,22 @@ class TestJacobianPattern:
         _, report, _ = solve_single(cfg)
         assert report.converged and report.outer_iters > 1
         assert len(ordered) == operators
+
+    @pytest.mark.parametrize("method,linear_solver", [
+        ("newton-ras-eps", "auto"), ("newton-eps", "gmres")])
+    def test_gmres_paths_never_assemble_the_global_jacobian(
+            self, monkeypatch, method, linear_solver):
+        def no_jacobian(*args):
+            raise AssertionError("global Jacobian assembled")
+
+        for module in (system, experiments):
+            monkeypatch.setattr(module, "jacobian", no_jacobian)
+        cfg = build_config(overrides=dict(method=method, n=16, nu=1e-2, k_tilde=2,
+                                          eps_min=1e-3, s1=2, s2=2, overlap=1,
+                                          linear_solver=linear_solver))
+        _, report, spec = solve_single(cfg)
+        assert report.converged and report.outer_iters > 1
+        assert "pattern" not in vars(spec)
 
 
 class TestRasPreconditioner:
