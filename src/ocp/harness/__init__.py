@@ -3,12 +3,10 @@
 from .config import ConfigError, ExperimentConfig, build_config, load_config_file
 from .experiments import (rate_study, run_single, run_table, solve_single,
                           sparsity_fraction, sparsity_study, table_cells)
-from .reports import (BenchmarkRow, read_benchmark_csv, read_pairs_csv,
-                      read_report_json, read_residual_history_csv)
+from .reports import BenchmarkRow
 
 __all__ = [
     "BenchmarkRow", "ConfigError", "ExperimentConfig", "build_config",
-    "load_config_file", "rate_study", "read_benchmark_csv", "read_pairs_csv",
-    "read_report_json", "read_residual_history_csv", "run_single", "run_table",
+    "load_config_file", "rate_study", "run_single", "run_table",
     "solve_single", "sparsity_fraction", "sparsity_study", "table_cells",
 ]

@@ -56,7 +56,7 @@ class ExperimentConfig:
             raise ConfigError("need eps0 >= eps_min > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
-        if self.tol <= 0 or self.inner_tol <= 0:
+        if self.tol <= 0 or self.inner_tol <= 0 or self.gmres_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.sigma < 1.0:
             raise ConfigError("sigma must be at least 1")

@@ -63,12 +63,11 @@ def solve_single(cfg, spec=None):
 
     if cfg.is_raspen:
         dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
-        return (*raspen_solve(
-            x0, dec, spec, sched,
-            cfg=NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer),
-            krylov_cfg=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=1000),
-            inner_tol=cfg.inner_tol, threads=cfg.threads,
-            continuation=cfg.uses_continuation), spec)
+        outer_cfg = NewtonConfig(
+            tol=cfg.tol, max_outer=cfg.max_outer,
+            linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=1000))
+        return (*raspen_solve(x0, dec, spec, sched, outer_cfg, cfg.inner_tol,
+                              cfg.threads, cfg.uses_continuation), spec)
 
     residual_fn = lambda x, eps: residual(x, spec, eps)
     # GMRES needs only products; the assembled, ordered Jacobian is for factoring
@@ -249,6 +248,8 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     eps_list = sorted(eps_list, reverse=True)
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
+    if len(set(eps_list)) < 2:
+        raise ValueError("the rate fit needs at least two distinct eps values")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(n)

@@ -9,7 +9,6 @@ import csv
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args
 
 SCHEMA_VERSION = 1
 
@@ -22,8 +21,8 @@ def _fmt(value):
     return str(value)
 
 
-def report_to_dict(cfg_dict, report, sparsity_fraction=None):
-    data = {
+def report_to_dict(cfg_dict, report, sparsity_fraction):
+    return {
         "schema": SCHEMA_VERSION,
         "config": dict(cfg_dict),
         "converged": bool(report.converged),
@@ -38,20 +37,14 @@ def report_to_dict(cfg_dict, report, sparsity_fraction=None):
         "avg_inner_iters": report.avg_inner_iters,
         "failure": report.failure,
         "lu_fallbacks": int(report.lu_fallbacks),
+        "sparsity_fraction": float(sparsity_fraction),
         "timing": {"wall_time_s": float(report.wall_time)},
     }
-    if sparsity_fraction is not None:
-        data["sparsity_fraction"] = float(sparsity_fraction)
-    return data
 
 
 def write_report_json(path, data):
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def read_report_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_residual_history_csv(path, report):
@@ -63,20 +56,6 @@ def write_residual_history_csv(path, report):
             alpha = report.alphas[k - 1] if 1 <= k <= len(report.alphas) else None
             gmres = report.gmres_iters[k - 1] if 1 <= k <= len(report.gmres_iters) else None
             writer.writerow([k, _fmt(eps), _fmt(res), _fmt(alpha), _fmt(gmres)])
-
-
-def read_residual_history_csv(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append({
-                "iteration": int(record["iteration"]),
-                "eps": float(record["eps"]),
-                "residual": float(record["residual"]),
-                "alpha": float(record["alpha"]) if record["alpha"] else None,
-                "gmres_iters": int(record["gmres_iters"]) if record["gmres_iters"] else None,
-            })
-    return rows
 
 
 @dataclass
@@ -98,17 +77,6 @@ class BenchmarkRow:
 
 
 BENCHMARK_COLUMNS = [f.name for f in fields(BenchmarkRow)]
-_BENCHMARK_TYPES = {f.name: f.type for f in fields(BenchmarkRow)}
-
-
-def _parse_cell(kind, text):
-    """Inverse of _fmt for a value of the annotated type kind."""
-    options = get_args(kind)
-    if type(None) in options:
-        if text == "":
-            return None
-        kind = options[0]
-    return text == "True" if kind is bool else kind(text)
 
 
 def write_benchmark_csv(path, rows):
@@ -119,13 +87,6 @@ def write_benchmark_csv(path, rows):
             writer.writerow([_fmt(getattr(row, col)) for col in BENCHMARK_COLUMNS])
 
 
-def read_benchmark_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [BenchmarkRow(**{col: _parse_cell(_BENCHMARK_TYPES[col], text)
-                                for col, text in record.items()})
-                for record in csv.DictReader(fh)]
-
-
 def write_pairs_csv(path, header, pairs):
     """Small two-or-more column numeric CSV (rate and sparsity studies)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -133,10 +94,3 @@ def write_pairs_csv(path, header, pairs):
         writer.writerow(header)
         for row in pairs:
             writer.writerow([_fmt(v) for v in row])
-
-
-def read_pairs_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [[float(v) for v in row] for row in reader]

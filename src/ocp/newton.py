@@ -27,6 +27,8 @@ class LinearSolveError(SolverFault):
 
 # bound on the relative residual of the probe that accepts an unpivoted factor
 LU_PROBE_TOL = 1e-10
+# halvings of the step length the line search may try before giving up
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class NewtonConfig:
     tol: float = 1e-10
     max_outer: int = 200
     sigma: float = 1.1
-    max_halvings: int = 30
     # "direct" for a sparse LU on the assembled Jacobian, or a KrylovConfig
     linear_solver: object = "direct"
 
@@ -75,7 +76,6 @@ class SolveReport:
     residual_norms: list = field(default_factory=list)
     eps_values: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
-    accepted_norms: list = field(default_factory=list)
     gmres_iters: list = field(default_factory=list)
     inner_iters: list = field(default_factory=list)
     threshold: float = 0.0
@@ -93,15 +93,14 @@ class SolveReport:
         return sum(self.inner_iters) / len(self.inner_iters) if self.inner_iters else None
 
 
-def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm=None):
+def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm):
     """Largest alpha in {1, 1/2, 1/4, ...} with ||F(x + alpha d)|| <= sigma ||F(x)||.
 
-    Returns alpha and the accepted trial's residual F(x + alpha d).  Nonfinite
-    trial norms reject the step, so overflowing trial iterates simply halve
-    alpha instead of aborting or warning.
+    current_norm is ||F(x)||, which the caller already holds.  Returns alpha
+    and the accepted trial's residual F(x + alpha d).  Nonfinite trial norms
+    reject the step, so overflowing trial iterates simply halve alpha instead
+    of aborting or warning.
     """
-    if current_norm is None:
-        current_norm = float(np.linalg.norm(residual_fn(x)))
     alpha = 1.0
     for _ in range(max_halvings + 1):
         r_trial = residual_fn(x + alpha * d)
@@ -163,8 +162,7 @@ def _solve_direction(jac, rhs, linear_solver, precond):
     """Newton direction solve; returns (direction, gmres iterations or None,
     LU fallbacks)."""
     if isinstance(linear_solver, KrylovConfig):
-        apply_op = jac if callable(jac) else (lambda v: jac @ v)
-        result = gmres(apply_op, rhs, linear_solver, precond=precond)
+        result = gmres(jac, rhs, linear_solver, precond=precond)
         if not result.converged:
             raise LinearSolveError(
                 f"GMRES stalled at residual {result.residual:.3e} "
@@ -183,8 +181,8 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     """Damped Newton on F_eps with the eps-continuation schedule.
 
     residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (direct
-    mode) or operator for GMRES; precond_builder(x, eps) -> left preconditioner
-    callable, rebuilt every outer iteration.  Stopping threshold is
+    mode) or callable v -> J v (GMRES); precond_builder(x, eps) -> left
+    preconditioner callable, rebuilt every outer iteration.  Stopping threshold is
     max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.  While eps
     stays put the accepted line-search trial's residual is the next residual;
     a new eps needs one more evaluation.  A SolverFault ends the solve as a
@@ -213,10 +211,9 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
             d, lin_iters, fallbacks = _solve_direction(jac, -r, cfg.linear_solver,
                                                        precond)
             report.lu_fallbacks += fallbacks
-            alpha, r = backtrack(
-                x, d, lambda z: residual_fn(z, eps), cfg.sigma, cfg.max_halvings,
-                current_norm=nrm)
-            accepted = nrm = float(np.linalg.norm(r))
+            alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma,
+                                 MAX_HALVINGS, nrm)
+            nrm = float(np.linalg.norm(r))
             x_next = x + alpha * d
             eps_next = sched.next_eps(eps)
             if eps_next != eps:
@@ -225,7 +222,6 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
             x, eps = x_next, eps_next
             report.outer_iters += 1
             report.alphas.append(alpha)
-            report.accepted_norms.append(accepted)
             report.gmres_iters.append(lin_iters)
             report.residual_norms.append(nrm)
             report.eps_values.append(eps)

@@ -18,7 +18,7 @@ stay sequential; at n=128 on 2x2 each takes about 1.3 ms on a 2-core host.
 
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 import os
 
@@ -27,7 +27,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .krylov import KrylovConfig
 from .newton import (ContinuationSchedule, NewtonConfig, SolverFault,
                      newton_continuation, sparse_lu)
 from .system import PairPattern, pair_jacobian, residual_rows, split_pair
@@ -45,19 +44,13 @@ class LocalSolveError(SolverFault):
 class Subdomain:
     """Index sets of one overlapping subdomain and its ownership block.
 
-    idx holds the sorted global flat indices of the overlap rectangle, own
-    those of the ownership rectangle; pair_* are the same sets repeated for
-    the (y, p) block layout of length 2N.  own_in_local locates the owned
-    entries inside the local vector.
+    idx holds the sorted global flat indices of the overlap rectangle;
+    pair_idx repeats it for the (y, p) block layout of length 2N, pair_own
+    holds the owned entries in that layout and pair_own_in_local locates
+    them inside the local vector.
     """
 
-    rows: tuple
-    cols: tuple
-    own_rows: tuple
-    own_cols: tuple
     idx: np.ndarray
-    own: np.ndarray
-    own_in_local: np.ndarray
     pair_idx: np.ndarray
     pair_own: np.ndarray
     pair_own_in_local: np.ndarray
@@ -70,9 +63,6 @@ class Subdomain:
 @dataclass(frozen=True)
 class Decomposition:
     grid: Grid
-    s1: int
-    s2: int
-    overlap: int
     subdomains: tuple
 
     def __len__(self):
@@ -122,12 +112,9 @@ def decompose(grid, s1, s2, m):
             pair_own_in_local = np.concatenate(
                 [own_in_local, own_in_local + idx.shape[0]])
             subdomains.append(Subdomain(
-                rows=rows, cols=cols, own_rows=(r0, r1), own_cols=(c0, c1),
-                idx=idx, own=own, own_in_local=own_in_local,
-                pair_idx=pair_idx, pair_own=pair_own,
+                idx=idx, pair_idx=pair_idx, pair_own=pair_own,
                 pair_own_in_local=pair_own_in_local))
-    return Decomposition(grid=grid, s1=s1, s2=s2, overlap=m,
-                         subdomains=tuple(subdomains))
+    return Decomposition(grid=grid, subdomains=tuple(subdomains))
 
 
 @dataclass(frozen=True)
@@ -215,7 +202,8 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
 def _subdomain_pool(threads, tasks):
     """Executor for a map over tasks subdomains, or None to map inline.
 
-    threads=None uses up to cpu_count workers, 1 maps on the calling thread.
+    threads=0 uses one worker per subdomain, up to cpu_count; 1 maps on the
+    calling thread.
     """
     if threads == 1 or tasks == 1:
         yield None
@@ -239,18 +227,16 @@ def _scatter_own(dec, values):
     return out
 
 
-def ras_preconditioner(x, dec, spec, eps, systems=None, lu_fallbacks=None):
+def ras_preconditioner(x, dec, spec, eps, systems, lu_fallbacks):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
-    If lu_fallbacks is a list, the number of local factors that needed the
-    pivoted fallback is appended to it.
+    The number of local factors that needed the pivoted fallback is appended
+    to the list lu_fallbacks.
     """
-    systems = systems if systems is not None else build_local_systems(dec, spec)
     factors = [_factor_local(i, loc, x[sub.pair_idx], spec, eps)
                for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
     lus = [lu for _, lu, _ in factors]
-    if lu_fallbacks is not None:
-        lu_fallbacks.append(sum(fallbacks for _, _, fallbacks in factors))
+    lu_fallbacks.append(sum(fallbacks for _, _, fallbacks in factors))
 
     def apply(v):
         return _scatter_own(dec, (lu.solve(v[sub.pair_idx])
@@ -323,22 +309,18 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     return -_scatter_own(dec, solves)
 
 
-def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
-                 inner_tol=1e-8, inner_max_outer=200, threads=None,
-                 continuation=True):
+def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, threads, continuation):
     """Outer Newton on the fixed-point residual at eps_min, full steps.
 
-    The eps-continuation schedule applies only inside the first evaluation's
+    cfg.linear_solver is the outer GMRES's KrylovConfig.  The
+    eps-continuation schedule applies only inside the first evaluation's
     subdomain solves (the only ones that start far from their solutions);
     every later evaluation solves the local systems directly at eps_min.
     The outer line search accepts every step (sigma = inf).  All evaluations
     share one _subdomain_pool(threads).
     """
-    cfg = cfg if cfg is not None else NewtonConfig()
-    krylov_cfg = krylov_cfg if krylov_cfg is not None else KrylovConfig(
-        rel_tol=1e-8, max_iters=400)
     systems = build_local_systems(dec, spec)
-    inner_cfg = NewtonConfig(tol=inner_tol, max_outer=inner_max_outer)
+    inner_cfg = NewtonConfig(tol=inner_tol)
     eps_min = sched.eps_min
 
     state = {"corr": None, "inner_hist": [], "lu_fallbacks": 0}
@@ -359,14 +341,10 @@ def raspen_solve(x0, dec, spec, sched, cfg=None, krylov_cfg=None,
         corr = state["corr"]
         return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, corr)
 
-    outer_cfg = NewtonConfig(
-        tol=cfg.tol, max_outer=cfg.max_outer,
-        sigma=float("inf"),
-        max_halvings=cfg.max_halvings, linear_solver=krylov_cfg)
     with _subdomain_pool(threads, len(dec)) as pool:
         x, report = newton_continuation(
             x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
-            outer_cfg)
+            replace(cfg, sigma=float("inf")))
     report.inner_iters = state["inner_hist"]
     report.lu_fallbacks += state["lu_fallbacks"]
     return x, report

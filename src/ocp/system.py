@@ -28,6 +28,8 @@ from .smoothing import smoothed_projection, smoothed_projection_derivative
 # exp(700) is near the double-precision ceiling; larger arguments only occur
 # on diverging line-search trials, which the caller rejects anyway
 EXP_ARG_MAX = 700.0
+STATE_TOL = 1e-12  # Newton tolerance of solve_state
+EPS_CONSTRUCT = 1e-15  # eps of the control the manufactured problems recover
 
 
 # phi's polynomial part s^3 and its first two derivatives
@@ -212,7 +214,7 @@ def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
         return -(p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
 
 
-def solve_state(u: np.ndarray, spec: ProblemSpec, tol: float = 1e-12) -> np.ndarray:
+def solve_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Solve the semilinear state equation A y + phi(y) = f + u."""
     rhs = spec.f + u
 
@@ -225,26 +227,25 @@ def solve_state(u: np.ndarray, spec: ProblemSpec, tol: float = 1e-12) -> np.ndar
 
     y, report = newton_continuation(
         np.zeros(spec.grid.size), state_residual, state_jacobian,
-        ContinuationSchedule.fixed(1.0), NewtonConfig(tol=tol))
+        ContinuationSchedule.fixed(1.0), NewtonConfig(tol=STATE_TOL))
     if not report.converged:
         raise SolverFault(f"state solve failed: {report.failure}")
     return y
 
 
 def construct_test_problem(grid: Grid, kappa: float = 0.1, nu: float = 1e-6,
-                           mu: float = 1.0, k_tilde: int = 5,
-                           eps_construct: float = 1e-15
+                           mu: float = 1.0, k_tilde: int = 5
                            ) -> tuple[ProblemSpec, tuple[np.ndarray, np.ndarray]]:
     """Manufactured oscillatory problem and its known solution pair (y, p).
 
     Prescribes the adjoint p(x1,x2) = 1.3 mu sin(2 pi k x1) sin(2 pi k x2),
-    recovers the control at eps_construct, solves the state equation, then
+    recovers the control at EPS_CONSTRUCT, solves the state equation, then
     chooses y_d so the adjoint row vanishes at the prescribed pair.
     """
     x1, x2 = grid.points()
     p_bar = 1.3 * mu * np.sin(2.0 * np.pi * k_tilde * x1) * \
         np.sin(2.0 * np.pi * k_tilde * x2)
-    return _manufacture(grid, p_bar, kappa, nu, mu, eps_construct)
+    return _manufacture(grid, p_bar, kappa, nu, mu)
 
 
 def plateau_profile(x: np.ndarray) -> np.ndarray:
@@ -260,20 +261,20 @@ def plateau_profile(x: np.ndarray) -> np.ndarray:
 
 
 def construct_plateau_problem(grid: Grid, kappa: float = 0.1, nu: float = 1e-6,
-                              mu: float = 1.0, eps_construct: float = 1e-15
+                              mu: float = 1.0
                               ) -> tuple[ProblemSpec, tuple[np.ndarray, np.ndarray]]:
     """Manufactured problem whose adjoint has |p| = mu on a square."""
     x1, x2 = grid.points()
     p_bar = mu * plateau_profile(x1) * plateau_profile(x2)
-    return _manufacture(grid, p_bar, kappa, nu, mu, eps_construct)
+    return _manufacture(grid, p_bar, kappa, nu, mu)
 
 
-def _manufacture(grid, p_bar, kappa, nu, mu, eps_construct):
+def _manufacture(grid, p_bar, kappa, nu, mu):
     a = build_laplacian(grid)
     phi = Nonlinearity(kappa)
     spec = ProblemSpec(grid=grid, a=a, phi=phi, nu=nu, mu=mu,
                        f=np.zeros(grid.size), y_d=np.zeros(grid.size))
-    u_bar = recover_control(p_bar, spec, eps_construct)
+    u_bar = recover_control(p_bar, spec, EPS_CONSTRUCT)
     y_bar = solve_state(u_bar, spec)
     y_d = y_bar - a @ p_bar - phi.derivative(y_bar) * p_bar
     spec = dataclasses.replace(spec, y_d=y_d)

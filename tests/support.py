@@ -5,10 +5,17 @@ antiderivative and the objective live here, as does the inverse of each
 artifact writer that the round-trip tests read back.
 """
 
+import csv
+from dataclasses import fields
+import json
+from pathlib import Path
+from typing import get_args
+
 import numpy as np
 from scipy import integrate
 
 from ocp.harness.config import FLAT_KEYS
+from ocp.harness.reports import BenchmarkRow
 from ocp.smoothing import penalty_derivative
 from ocp.system import solve_state
 
@@ -64,3 +71,52 @@ def config_to_text(cfg):
     """Flat key=value rendering that load_config_file parses back exactly."""
     # str of a float is its shortest round-trip repr
     return "".join(f"{key} = {getattr(cfg, key)}\n" for key in FLAT_KEYS)
+
+
+def read_report_json(path):
+    """Inverse of ocp.harness.reports.write_report_json."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_residual_history_csv(path):
+    """Inverse of ocp.harness.reports.write_residual_history_csv."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for record in csv.DictReader(fh):
+            rows.append({
+                "iteration": int(record["iteration"]),
+                "eps": float(record["eps"]),
+                "residual": float(record["residual"]),
+                "alpha": float(record["alpha"]) if record["alpha"] else None,
+                "gmres_iters": int(record["gmres_iters"]) if record["gmres_iters"] else None,
+            })
+    return rows
+
+
+_BENCHMARK_TYPES = {f.name: f.type for f in fields(BenchmarkRow)}
+
+
+def _parse_cell(kind, text):
+    """Inverse of the writers' cell format for a value of the annotated type kind."""
+    options = get_args(kind)
+    if type(None) in options:
+        if text == "":
+            return None
+        kind = options[0]
+    return text == "True" if kind is bool else kind(text)
+
+
+def read_benchmark_csv(path):
+    """Inverse of ocp.harness.reports.write_benchmark_csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [BenchmarkRow(**{col: _parse_cell(_BENCHMARK_TYPES[col], text)
+                                for col, text in record.items()})
+                for record in csv.DictReader(fh)]
+
+
+def read_pairs_csv(path):
+    """Inverse of ocp.harness.reports.write_pairs_csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return header, [[float(v) for v in row] for row in reader]

@@ -5,7 +5,8 @@ must be referenced from the package itself, the scripts, the benchmark or the
 acceptance gate.  A helper that only the module tests call belongs in
 tests/support.py.  References are matched by bare identifier (a name, an
 attribute or an imported name), so the check can miss an unused method whose
-name another object shares, but it never flags a used one.
+name another object shares, but it never flags a used one.  A re-export is
+not a use: names imported by a package __init__.py do not count.
 """
 
 import ast
@@ -38,13 +39,13 @@ def definitions():
 def referenced_names():
     names = set()
     for root in USERS:
-        for _, tree in _trees(root):
+        for path, tree in _trees(root):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
-                elif isinstance(node, ast.alias):
+                elif isinstance(node, ast.alias) and path.name != "__init__.py":
                     names.add(node.name.rsplit(".", 1)[-1])
     return names
 

@@ -19,16 +19,15 @@ from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
                                      solve_single, sparsity_fraction,
                                      sparsity_study, table_cells)
-from ocp.harness.reports import (BenchmarkRow, read_benchmark_csv,
-                                 read_pairs_csv, read_report_json,
-                                 read_residual_history_csv, report_to_dict,
+from ocp.harness.reports import (BenchmarkRow, report_to_dict,
                                  write_benchmark_csv, write_pairs_csv)
 from ocp.krylov import SolverFault
 import ocp.newton as newton
 from ocp.newton import SolveReport
 import ocp.schwarz as schwarz
 from ocp.system import Nonlinearity
-from support import config_to_text, read_field_csv
+from support import (config_to_text, read_benchmark_csv, read_field_csv,
+                     read_pairs_csv, read_report_json, read_residual_history_csv)
 
 # mild, fast configuration reused by most orchestration tests
 MILD = dict(n=12, nu=1e-2, k_tilde=2, eps_min=1e-3)
@@ -138,6 +137,9 @@ class TestConfig:
                                     "linear_solver": "direct"})
         with pytest.raises(ConfigError, match="unknown config fields"):
             build_config(overrides={"verbosity": 3})
+        for tol in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="tolerances must be positive"):
+                build_config(overrides={"gmres_tol": tol})
 
     def test_method_properties(self):
         assert mild_config(method="newton-ras-eps", s1=2, s2=2).uses_ras
@@ -152,7 +154,7 @@ class TestReports:
             converged=True, outer_iters=3,
             residual_norms=[1.5, 0.3, 1e-4, 3.33e-11],
             eps_values=[1.0, 0.2, 0.04, 0.04], alphas=[1.0, 0.5, 1.0],
-            accepted_norms=[1.6, 0.31, 1.1e-4], gmres_iters=[None, 7, 9],
+            gmres_iters=[None, 7, 9],
             inner_iters=[4, 2, 1], threshold=1e-10, wall_time=0.123)
 
     def test_residual_history_round_trip(self, tmp_path):
@@ -245,7 +247,7 @@ class TestRunSingle:
         x, report, _ = solve(spoiled_splu)
         assert report.converged
         assert report.lu_fallbacks == len(attempts) > 0
-        assert report_to_dict({}, report)["lu_fallbacks"] == len(attempts)
+        assert report_to_dict({}, report, 1.0)["lu_fallbacks"] == len(attempts)
         np.testing.assert_array_equal(x, x_ref)
         assert np.linalg.norm(x - x_sym) <= 1e-10 * np.linalg.norm(x_sym)
 
@@ -413,9 +415,16 @@ class TestStudies:
             assert err == pytest.approx(cold, rel=1e-6)
         assert warm < len(assemblies) - warm
 
-    def test_rate_study_rejects_bad_reference(self, tmp_path):
-        with pytest.raises(ValueError, match="eps_ref"):
-            rate_study(16, [1e-1, 1e-2], tmp_path, eps_ref=1e-2)
+    @pytest.mark.parametrize("eps_list,eps_ref,match", [
+        ([1e-1, 1e-2], 1e-2, "eps_ref"),
+        # one point fixes no slope
+        ([1e-1, 1e-1], 1e-12, "two distinct eps"),
+    ], ids=["eps-ref-above-list", "one-distinct-eps"])
+    def test_rate_study_rejects_bad_reference(self, tmp_path, eps_list, eps_ref,
+                                              match):
+        with pytest.raises(ValueError, match=match):
+            rate_study(16, eps_list, tmp_path / "out", eps_ref=eps_ref)
+        assert not (tmp_path / "out").exists()
 
     def test_identical_solves_have_zero_distance(self):
         # the reference comparison degenerates to zero for the same field
@@ -492,6 +501,13 @@ class TestCli:
                      "--linear-solver", "direct", "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        # a bad config stops every subcommand before it writes anything
+        for argv in (["table", "mono", "--gmres-tol", "-1"],
+                     ["table", "gmres", "--gmres-tol", "-1"],
+                     ["solve", "--gmres-tol", "0"]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+            assert "tolerances must be positive" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_solver_failure_exit_three(self, tmp_path):
         code = main(["solve", "--method", "newton", "--n", "12",

@@ -64,7 +64,7 @@ def test_gmres_direction_matches_direct():
     b = rng.standard_normal(8)
     cfg = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-13))
     x, report = newton_continuation(
-        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a,
+        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a.dot,
         ContinuationSchedule.fixed(1.0), cfg)
     assert report.converged
     assert report.gmres_iters[0] >= 1
@@ -99,7 +99,7 @@ def test_no_early_convergence_above_eps_floor():
 def test_backtrack_halves_until_acceptable():
     table = {0.0: 1.0, 1.0: 2.2, 0.5: 0.99}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30, 1.0)
     assert alpha == 0.5
     np.testing.assert_array_equal(r_trial, [0.99])
 
@@ -107,7 +107,7 @@ def test_backtrack_halves_until_acceptable():
 def test_backtrack_accepts_growth_under_loose_sigma():
     table = {0.0: 1.0, 1.0: 2.2}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 30)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 30, 1.0)
     assert alpha == 1.0
     np.testing.assert_array_equal(r_trial, [2.2])
 
@@ -117,8 +117,7 @@ def test_backtrack_rejects_nonfinite_trials():
         v = float(z[0])
         return np.array([np.inf if v > 0.3 else 0.5])
 
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30,
-                               current_norm=1.0)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30, 1.0)
     assert alpha == 0.25
     np.testing.assert_array_equal(r_trial, [0.5])
 
@@ -126,7 +125,7 @@ def test_backtrack_rejects_nonfinite_trials():
 def test_backtrack_exhausts_budget():
     residual = lambda z: np.array([np.nan if float(z[0]) != 0.0 else 1.0])
     with pytest.raises(LineSearchError):
-        backtrack(np.zeros(1), np.ones(1), residual, 1.1, 3, current_norm=1.0)
+        backtrack(np.zeros(1), np.ones(1), residual, 1.1, 3, 1.0)
 
 
 def test_damping_engages_on_arctan():
@@ -156,7 +155,9 @@ def test_accepted_norms_respect_sigma():
     _, report = newton_continuation(
         np.array([2.0]), residual, jac, ContinuationSchedule.fixed(1e-10),
         NewtonConfig())
-    for accepted, before in zip(report.accepted_norms, report.residual_norms):
+    # at a fixed eps each residual norm after x0 is an accepted trial's
+    norms = report.residual_norms
+    for before, accepted in zip(norms, norms[1:]):
         assert accepted <= 1.1 * before * (1.0 + 1e-12)
 
 
@@ -252,7 +253,10 @@ def test_fixed_eps_reuses_accepted_trial():
     trials = sum(round(-np.log2(alpha)) + 1 for alpha in report.alphas)
     assert trials > report.outer_iters
     assert len(calls) == 1 + trials
-    assert report.residual_norms[1:] == report.accepted_norms
+    # step k's accepted trial is its last call, and its norm is recorded as is
+    accepted = np.cumsum([round(-np.log2(alpha)) + 1 for alpha in report.alphas])
+    assert report.residual_norms[1:] == [float(np.linalg.norm(np.arctan(calls[k][0])))
+                                         for k in accepted]
     np.testing.assert_array_equal(calls[-1][0], x)
 
 
@@ -298,7 +302,7 @@ def test_gmres_breakdown_ends_as_failed_report():
 
     x, report = newton_continuation(
         np.array([3.0, -1.0]), lambda x, eps: np.arctan(a @ x),
-        lambda x, eps: sp.csr_matrix(a / (1.0 + (a @ x)[:, None] ** 2)),
+        lambda x, eps: sp.csr_matrix(a / (1.0 + (a @ x)[:, None] ** 2)).dot,
         ContinuationSchedule.fixed(1.0),
         NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-12)),
         precond_builder=precond_builder)
@@ -494,7 +498,7 @@ class TestSparseLU:
         monkeypatch.setattr(schwarz, "pair_jacobian", singular_pair_jacobian)
         x = np.zeros(2 * grid.size)
         with pytest.raises(LocalSolveError, match="singular") as info:
-            ras_preconditioner(x, dec, spec, 1e-2)
+            ras_preconditioner(x, dec, spec, 1e-2, build_local_systems(dec, spec), [])
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ocp.harness.cli import main
 from ocp.harness.config import METHODS
-from ocp.harness.reports import read_report_json
+from support import read_report_json
 
 ARTIFACTS = ("report.json", "residual_history.csv", "y.csv", "p.csv", "u.csv")
 

@@ -1,5 +1,8 @@
 """Decomposition index machinery, RAS preconditioning, and the RASPEN solver."""
 
+from dataclasses import replace
+from functools import partial
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,7 @@ from ocp.schwarz import (LocalSolveError, _local_problem, _tile_edges,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
 import ocp.system as system
 from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
-                        pair_jacobian, residual, split_pair)
+                        jacobian_operator, pair_jacobian, residual, split_pair)
 
 
 def mild_problem(n):
@@ -37,6 +40,29 @@ def solve_monolithic(spec, eps, tol=1e-12):
         ContinuationSchedule.fixed(eps), NewtonConfig(tol=tol))
     assert report.converged, report.failure
     return x
+
+
+def ras(x, dec, spec, eps):
+    """RAS preconditioner at x on freshly built local systems."""
+    return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec), [])
+
+
+# the outer configuration of the RASPEN tests
+RASPEN_CFG = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-8, max_iters=400))
+
+
+def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0, continuation=True):
+    return raspen_solve(x0, dec, spec, sched, cfg, 1e-8, threads, continuation)
+
+
+def owned(sub):
+    """Global flat indices of the subdomain's ownership block."""
+    return sub.pair_own[:sub.pair_own.size // 2]
+
+
+def rect(idx, n):
+    """(rows, cols) half-open ranges of the rectangle that flat indices idx cover."""
+    return ((idx.min() // n, idx.max() // n + 1), (idx.min() % n, idx.max() % n + 1))
 
 
 def block_jacobian(a, y, p, spec, eps):
@@ -96,25 +122,25 @@ class TestDecompose:
         assert len(dec) == 4
         for sub in dec.subdomains:
             assert sub.size == 16
-            np.testing.assert_array_equal(sub.idx, sub.own)
-            np.testing.assert_array_equal(sub.own_in_local, np.arange(16))
+            np.testing.assert_array_equal(sub.pair_idx, sub.pair_own)
+            np.testing.assert_array_equal(sub.pair_own_in_local, np.arange(32))
 
     def test_corner_block_with_overlap(self):
         dec = decompose(Grid(8), 2, 2, 2)
         sub = dec.subdomains[0]
-        assert sub.rows == (0, 6) and sub.cols == (0, 6)
-        assert sub.own_rows == (0, 4) and sub.own_cols == (0, 4)
-        assert sub.size == 36
+        assert rect(sub.idx, 8) == ((0, 6), (0, 6))
+        assert rect(owned(sub), 8) == ((0, 4), (0, 4))
+        assert sub.size == 36 and owned(sub).size == 16
         # flat indices walk the 6x6 corner rectangle row by row
         assert sub.idx[0] == 0 and sub.idx[5] == 5 and sub.idx[6] == 8
-        np.testing.assert_array_equal(sub.idx[sub.own_in_local], sub.own)
+        np.testing.assert_array_equal(sub.pair_idx[sub.pair_own_in_local], sub.pair_own)
         last = dec.subdomains[3]
-        assert last.rows == (2, 8) and last.own_rows == (4, 8)
+        assert rect(last.idx, 8)[0] == (2, 8) and rect(owned(last), 8)[0] == (4, 8)
 
     def test_overlap_clipped_at_boundary(self):
         dec = decompose(Grid(8), 2, 2, 3)
-        assert dec.subdomains[0].rows == (0, 7)
-        assert dec.subdomains[3].rows == (1, 8)
+        assert rect(dec.subdomains[0].idx, 8)[0] == (0, 7)
+        assert rect(dec.subdomains[3].idx, 8)[0] == (1, 8)
 
     def test_pair_indexing_consistency(self):
         dec = decompose(Grid(9), 2, 3, 1)
@@ -129,8 +155,8 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [8, 9, 17])
     def test_ownership_partitions_index_set(self, s1, s2, n):
         dec = decompose(Grid(n), s1, s2, 2)
-        owned = np.concatenate([sub.own for sub in dec.subdomains])
-        np.testing.assert_array_equal(np.sort(owned), np.arange(n * n))
+        pair_owned = np.concatenate([sub.pair_own for sub in dec.subdomains])
+        np.testing.assert_array_equal(np.sort(pair_owned), np.arange(2 * n * n))
 
     @pytest.mark.parametrize("s1,s2", [(1, 1), (2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("n", [8, 9, 17])
@@ -269,7 +295,7 @@ class TestRasPreconditioner:
         rng = np.random.default_rng(3)
         x = 0.2 * rng.standard_normal(2 * grid.size)
         jac = jacobian(x, spec, 1e-2)
-        apply_m = ras_preconditioner(x, dec, spec, 1e-2)
+        apply_m = ras(x, dec, spec, 1e-2)
         v = rng.standard_normal(2 * grid.size)
         np.testing.assert_allclose(apply_m(jac @ v), v, rtol=1e-9, atol=1e-11)
 
@@ -278,7 +304,7 @@ class TestRasPreconditioner:
         dec = decompose(grid, 1, 1, 0)
         x = np.zeros(2 * grid.size)
         jac = jacobian(x, spec, 1e-2)
-        apply_m = ras_preconditioner(x, dec, spec, 1e-2)
+        apply_m = ras(x, dec, spec, 1e-2)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(2 * grid.size)
         result = gmres(lambda v: jac @ v, b, KrylovConfig(rel_tol=1e-10),
@@ -290,7 +316,7 @@ class TestRasPreconditioner:
         dec = decompose(grid, 2, 2, 2)
         rng = np.random.default_rng(13)
         x = 0.1 * rng.standard_normal(2 * grid.size)
-        apply_m = ras_preconditioner(x, dec, spec, 1e-2)
+        apply_m = ras(x, dec, spec, 1e-2)
         v, w = rng.standard_normal((2, 2 * grid.size))
         np.testing.assert_allclose(apply_m(2.0 * v + w),
                                    2.0 * apply_m(v) + apply_m(w),
@@ -302,10 +328,10 @@ class TestRasPreconditioner:
         x0 = np.zeros(2 * grid.size)
         x, report = newton_continuation(
             x0, lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian(z, spec, e),
+            lambda z, e: jacobian_operator(z, spec, e),
             ContinuationSchedule.fixed(1e-2),
             NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
-            precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e, systems))
+            precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e, systems, []))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
         assert np.abs(x - x_sol).max() <= 1e-8 * max(1.0, np.abs(x_sol).max())
@@ -390,7 +416,7 @@ class TestLocalFactorFailure:
         grid, spec, dec, patch = failing_splu
         patch(bad)
         with pytest.raises(LocalSolveError, match="singular") as info:
-            ras_preconditioner(np.zeros(2 * grid.size), dec, spec, 1e-2)
+            ras(np.zeros(2 * grid.size), dec, spec, 1e-2)
         assert info.value.subdomain == bad
 
     def test_newton_records_ras_failure(self, failing_splu):
@@ -399,9 +425,9 @@ class TestLocalFactorFailure:
         x0 = np.zeros(2 * grid.size)
         x, report = newton_continuation(
             x0, lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian(z, spec, e), ContinuationSchedule.fixed(1e-2),
+            lambda z, e: jacobian_operator(z, spec, e), ContinuationSchedule.fixed(1e-2),
             NewtonConfig(linear_solver=KrylovConfig()),
-            precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e))
+            precond_builder=lambda z, e: ras(z, dec, spec, e))
         assert not report.converged
         assert report.failure.startswith("subdomain 1: singular")
         assert len(report.residual_norms) == 1
@@ -491,7 +517,7 @@ class TestRaspen:
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x_mono = solve_monolithic(spec, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x, report = raspen_solve(x0, dec, spec, sched)
+        x, report = raspen(x0, dec, spec, sched)
         assert report.converged, report.failure
         assert report.outer_iters <= 12
         # full steps only, and one fresh evaluation per iteration plus the start
@@ -505,8 +531,8 @@ class TestRaspen:
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x_c, rep_c = raspen_solve(x0, dec, spec, sched, continuation=True)
-        x_p, rep_p = raspen_solve(x0, dec, spec, sched, continuation=False)
+        x_c, rep_c = raspen(x0, dec, spec, sched, continuation=True)
+        x_p, rep_p = raspen(x0, dec, spec, sched, continuation=False)
         assert rep_c.converged and rep_p.converged
         scale = max(1.0, np.abs(x_c).max())
         assert np.abs(x_c - x_p).max() <= 1e-6 * scale
@@ -515,15 +541,17 @@ class TestRaspen:
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x1, _ = raspen_solve(x0, dec, spec, sched, threads=1)
-        x2, _ = raspen_solve(x0, dec, spec, sched, threads=2)
+        x1, _ = raspen(x0, dec, spec, sched, threads=1)
+        x2, _ = raspen(x0, dec, spec, sched, threads=2)
         np.testing.assert_array_equal(x1, x2)
 
-    def test_local_failure_becomes_failed_report(self, mild16):
+    def test_local_failure_becomes_failed_report(self, mild16, monkeypatch):
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x, report = raspen_solve(x0, dec, spec, sched, inner_max_outer=0)
+        # local solves get no Newton iteration, so the first one fails
+        monkeypatch.setattr(schwarz, "NewtonConfig", partial(NewtonConfig, max_outer=0))
+        x, report = raspen(x0, dec, spec, sched)
         assert not report.converged
         assert "subdomain" in report.failure
         np.testing.assert_array_equal(x, x0)
@@ -535,7 +563,7 @@ class TestRaspen:
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x_one, ref = raspen_solve(x0, dec, spec, sched, cfg=NewtonConfig(max_outer=1))
+        x_one, ref = raspen(x0, dec, spec, sched, cfg=replace(RASPEN_CFG, max_outer=1))
         assert ref.outer_iters == 1
         real = schwarz.raspen_residual
         calls = []
@@ -547,7 +575,7 @@ class TestRaspen:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(schwarz, "raspen_residual", failing)
-        x, report = raspen_solve(x0, dec, spec, sched)
+        x, report = raspen(x0, dec, spec, sched)
         steps = failing_eval - 2
         assert not report.converged
         assert report.failure == "subdomain 1: injected"
@@ -556,8 +584,9 @@ class TestRaspen:
         assert report.inner_iters == ref.inner_iters[:failing_eval - 1]
         np.testing.assert_array_equal(x, x_one if steps else x0)
 
-    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1), (0, 1)])
     def test_one_pool_per_solve(self, mild16, monkeypatch, threads, pools):
+        # threads=0 runs one worker per subdomain, up to the CPU count
         grid, spec, dec, _ = mild16
         built = []
         real = schwarz.ThreadPoolExecutor
@@ -567,9 +596,9 @@ class TestRaspen:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(schwarz, "ThreadPoolExecutor", counting)
-        _, report = raspen_solve(np.zeros(2 * grid.size), dec, spec,
-                                 ContinuationSchedule(1.0, 0.2, 1e-3),
-                                 threads=threads)
+        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
+                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
         assert report.converged
         assert len(report.inner_iters) >= 3
-        assert built == [{"max_workers": 2}] * pools
+        workers = threads or min(len(dec), os.cpu_count())
+        assert built == [{"max_workers": workers}] * pools
