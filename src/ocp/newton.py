@@ -154,6 +154,7 @@ def sparse_lu(jac, splu):
     except RuntimeError:
         fallbacks = 1
     if fallbacks:
+        lu = None  # free the rejected factor before making its replacement
         lu = splu(matrix)
     return (Ordered(lu, jac.order, jac.position) if ordered else lu), fallbacks
 
@@ -210,6 +211,9 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
             precond = precond_builder(x, eps) if precond_builder is not None else None
             d, lin_iters, fallbacks = _solve_direction(jac, -r, cfg.linear_solver,
                                                        precond)
+            # this step's Jacobian and preconditioner factors go before the
+            # line search and the next step make their own
+            del jac, precond
             report.lu_fallbacks += fallbacks
             alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma,
                                  MAX_HALVINGS, nrm)

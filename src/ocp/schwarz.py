@@ -12,8 +12,12 @@ Three layers on top of a rectangular tiling with m-cell overlap:
 Each subdomain's local correction and the factorization at its result run as
 one task of a parallel map over subdomains; recombination writes are disjoint
 by the ownership partition, so the result is independent of thread
-scheduling.  The per-matvec local triangular solves inside the outer GMRES
-stay sequential; at n=128 on 2x2 each takes about 1.3 ms on a 2-core host.
+scheduling.  The map runs on owner lanes, one single-thread executor each:
+subdomain i always runs on lane i mod their number, and its frozen factor is
+released on that same lane, because SuperLU frees a factor's storage only on
+the thread that made it (dropped on another thread, the storage leaks).  The
+per-matvec local triangular solves inside the outer GMRES stay sequential; at
+n=128 on 2x2 each takes about 1.3 ms on a 2-core host.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -200,23 +204,56 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
 
 @contextlib.contextmanager
 def _subdomain_pool(threads, tasks):
-    """Executor for a map over tasks subdomains, or None to map inline.
+    """Owner lanes for a map over tasks subdomains, or None to map inline.
 
-    threads=0 uses one worker per subdomain, up to cpu_count; 1 maps on the
-    calling thread.
+    The lanes are min(workers, tasks) single-thread executors.  threads=0
+    uses one worker per subdomain, up to cpu_count; a single worker maps on
+    the calling thread.
     """
-    if threads == 1 or tasks == 1:
+    workers = min(threads if threads else os.cpu_count() or 1, tasks)
+    if workers == 1:
         yield None
         return
-    workers = threads if threads else min(tasks, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool
+    lanes = [ThreadPoolExecutor(max_workers=1) for _ in range(workers)]
+    try:
+        yield lanes
+    finally:
+        for lane in lanes:
+            lane.shutdown()
 
 
-def _parallel_map(fn, items, pool):
-    if pool is None:
+def _release(items, lanes):
+    """Empty the list items, dropping items[i] on lane i % len(lanes).
+
+    SuperLU frees a factor's storage only on the thread that made it, so a
+    factor made by subdomain i's task must lose its last reference there.
+    """
+    if lanes is None:
+        items.clear()
+        return
+    shares = [items[k::len(lanes)] for k in range(len(lanes))]
+    items.clear()
+    for future in [lane.submit(share.clear) for lane, share in zip(lanes, shares)]:
+        future.result()
+
+
+def _parallel_map(fn, items, lanes):
+    """[fn(*item) for item in items], item i on lane i % len(lanes).
+
+    If a task raises, the results of the others are released on their own
+    lanes and the exception of the first failing item is raised.
+    """
+    if lanes is None:
         return [fn(*item) for item in items]
-    return list(pool.map(lambda item: fn(*item), items))
+    futures = [lanes[i % len(lanes)].submit(fn, *item)
+               for i, item in enumerate(items)]
+    errors = [f.exception() for f in futures]  # waits for every task
+    if not any(errors):
+        return [f.result() for f in futures]
+    results = [None if e else f.result() for f, e in zip(futures, errors)]
+    del futures  # they hold the results too, and would drop them on this thread
+    _release(results, lanes)
+    raise next(e for e in errors if e)
 
 
 def _scatter_own(dec, values):
@@ -260,7 +297,7 @@ class CorrectionSet:
 
 
 def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
-                    systems=None, pool=None):
+                    systems=None, lanes=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
     Each subdomain task solves its frozen-exterior system and factors its
@@ -269,8 +306,9 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
     residual is scatter_own(local values) - x, which equals the ownership
     recombination of the local displacements since the ownership sets
     partition the index set; corrections.values[i] is subdomain i's local
-    correction and f_val + x one nonlinear RAS sweep.  The tasks run on pool,
-    an executor from _subdomain_pool, or inline when pool is None.
+    correction and f_val + x one nonlinear RAS sweep.  The tasks run on
+    lanes from _subdomain_pool, or inline when lanes is None; the caller
+    releases corrections.lus on the same lanes (_release).
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
@@ -278,7 +316,7 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
 
     tasks = [(i, sub, loc, spec, x, eps, sched, cfg)
              for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
-    results = _parallel_map(_solve_and_factor, tasks, pool)
+    results = _parallel_map(_solve_and_factor, tasks, lanes)
     values, inner_iters, jac_locs, lus, fallbacks = (
         list(column) for column in zip(*results))
 
@@ -303,7 +341,8 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     solves = (lu.solve(jac_loc @ d[sub.pair_idx]
                        + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
               for sub, loc, jac_loc, lu in zip(dec.subdomains, corrections.systems,
-                                               corrections.jac_locs, corrections.lus))
+                                               corrections.jac_locs, corrections.lus,
+                                               strict=True))
     # the ownership sets partition the index set, so negating the whole
     # scatter negates every local contribution
     return -_scatter_own(dec, solves)
@@ -317,7 +356,9 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, threads, continuation):
     subdomain solves (the only ones that start far from their solutions);
     every later evaluation solves the local systems directly at eps_min.
     The outer line search accepts every step (sigma = inf).  All evaluations
-    share one _subdomain_pool(threads).
+    share one set of lanes from _subdomain_pool(threads); each evaluation's
+    frozen factors are released on their lanes before the next evaluation
+    and the last before the lanes shut down, so one set is alive at a time.
     """
     systems = build_local_systems(dec, spec)
     inner_cfg = NewtonConfig(tol=inner_tol)
@@ -325,14 +366,19 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, threads, continuation):
 
     state = {"corr": None, "inner_hist": [], "lu_fallbacks": 0}
 
+    def release_factors():
+        if state["corr"] is not None:
+            _release(state["corr"].lus, lanes)
+
     def residual_fn(x, eps):
+        release_factors()
         # only the first evaluation starts far from the local solutions
         if continuation and not state["inner_hist"]:
             inner_sched = ContinuationSchedule(sched.eps0, sched.gamma, eps)
         else:
             inner_sched = ContinuationSchedule.fixed(eps)
         f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
-                                               inner_sched, systems, pool)
+                                               inner_sched, systems, lanes)
         state["inner_hist"].append(max(state["corr"].inner_iters))
         state["lu_fallbacks"] += state["corr"].lu_fallbacks
         return f_val
@@ -341,10 +387,13 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, threads, continuation):
         corr = state["corr"]
         return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, corr)
 
-    with _subdomain_pool(threads, len(dec)) as pool:
-        x, report = newton_continuation(
-            x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
-            replace(cfg, sigma=float("inf")))
+    with _subdomain_pool(threads, len(dec)) as lanes:
+        try:
+            x, report = newton_continuation(
+                x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(eps_min),
+                replace(cfg, sigma=float("inf")))
+        finally:
+            release_factors()
     report.inner_iters = state["inner_hist"]
     report.lu_fallbacks += state["lu_fallbacks"]
     return x, report

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from functools import partial
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +77,54 @@ def to_natural(jac):
     """The natural-order CSR matrix of an ordered Jacobian."""
     position = np.argsort(jac.order)
     return jac.stored[position][:, position].tocsr()
+
+
+class LoggedFactor:
+    """A SuperLU factor that logs the thread that made it and the one that
+    dropped its last reference (SuperLU frees storage only on the former)."""
+
+    def __init__(self, lu, log):
+        self._lu = lu
+        self._record = {"made": threading.current_thread(), "freed": None}
+        log.append(self._record)
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    def __del__(self):
+        self._record["freed"] = threading.current_thread()
+
+
+class LoggingSpla:
+    """Stand-in for scipy.sparse.linalg whose splu returns LoggedFactors."""
+
+    def __init__(self, module, log):
+        self._module = module
+        self._log = log
+
+    def splu(self, matrix, **kwargs):
+        return LoggedFactor(self._module.splu(matrix, **kwargs), self._log)
+
+    def __getattr__(self, key):
+        return getattr(self._module, key)
+
+
+@pytest.fixture
+def factor_log(monkeypatch):
+    """Records of every factor the Newton core and the Schwarz layer make."""
+    log = []
+    for module in (newton, schwarz):
+        monkeypatch.setattr(module, "spla", LoggingSpla(module.spla, log))
+    return log
+
+
+def assert_freed_where_made(log):
+    alive = [r for r in log if r["freed"] is None]
+    assert not alive, f"{len(alive)} of {len(log)} factors still alive"
+    moved = [r for r in log if r["freed"] is not r["made"]]
+    assert not moved, (f"{len(moved)} of {len(log)} factors freed on another "
+                       f"thread, e.g. made on {moved[0]['made'].name}, freed "
+                       f"on {moved[0]['freed'].name}")
 
 
 @pytest.fixture(scope="module")
@@ -435,14 +484,32 @@ class TestLocalFactorFailure:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("bad", [0, 1, 2])
-    def test_raspen_residual_names_subdomain(self, failing_splu, bad, threads):
+    def test_raspen_residual_names_subdomain(self, factor_log, failing_splu, bad,
+                                             threads):
         grid, spec, dec, patch = failing_splu
         patch(bad)
-        with schwarz._subdomain_pool(threads, len(dec)) as pool:
+        with schwarz._subdomain_pool(threads, len(dec)) as lanes:
             with pytest.raises(LocalSolveError, match="singular") as info:
                 raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
-                                pool=pool)
+                                lanes=lanes)
+            # the other subdomains' factors went on their own lanes before
+            # the error reached the caller, not at the lanes' shutdown
+            assert_freed_where_made(factor_log)
         assert info.value.subdomain == bad
+        assert factor_log
+
+    def test_raspen_residual_names_first_failing_subdomain(self, factor_log,
+                                                            failing_splu):
+        grid, spec, dec, patch = failing_splu
+        for bad in (2, 1):
+            patch(bad)
+        # subdomains 1 and 2 fail on different lanes; 1 comes first in order
+        with schwarz._subdomain_pool(2, len(dec)) as lanes:
+            with pytest.raises(LocalSolveError) as info:
+                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
+                                lanes=lanes)
+            assert_freed_where_made(factor_log)
+        assert info.value.subdomain == 1
 
 
 class TestRaspen:
@@ -545,7 +612,19 @@ class TestRaspen:
         x2, _ = raspen(x0, dec, spec, sched, threads=2)
         np.testing.assert_array_equal(x1, x2)
 
-    def test_local_failure_becomes_failed_report(self, mild16, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2, 0])
+    def test_factors_freed_on_the_thread_that_made_them(self, mild16, factor_log,
+                                                        threads):
+        grid, spec, dec, _ = mild16
+        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
+                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
+        assert report.converged
+        assert_freed_where_made(factor_log)
+        makers = {r["made"] for r in factor_log}
+        assert (makers == {threading.current_thread()}) == (threads == 1)
+
+    def test_local_failure_becomes_failed_report(self, mild16, monkeypatch,
+                                                 factor_log):
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
@@ -555,10 +634,11 @@ class TestRaspen:
         assert not report.converged
         assert "subdomain" in report.failure
         np.testing.assert_array_equal(x, x0)
+        assert_freed_where_made(factor_log)
 
     @pytest.mark.parametrize("failing_eval", [2, 3])
     def test_later_local_failure_keeps_iterates(self, mild16, monkeypatch,
-                                                failing_eval):
+                                                factor_log, failing_eval):
         # evaluation 1 is at x0, evaluation k >= 2 tries step k - 1
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
@@ -583,11 +663,11 @@ class TestRaspen:
         assert report.residual_norms == ref.residual_norms[:steps + 1]
         assert report.inner_iters == ref.inner_iters[:failing_eval - 1]
         np.testing.assert_array_equal(x, x_one if steps else x0)
+        assert_freed_where_made(factor_log)
 
-    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1), (0, 1)])
-    def test_one_pool_per_solve(self, mild16, monkeypatch, threads, pools):
-        # threads=0 runs one worker per subdomain, up to the CPU count
-        grid, spec, dec, _ = mild16
+    @staticmethod
+    def count_lanes(monkeypatch):
+        """The keyword arguments of every executor the Schwarz layer builds."""
         built = []
         real = schwarz.ThreadPoolExecutor
 
@@ -596,9 +676,39 @@ class TestRaspen:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(schwarz, "ThreadPoolExecutor", counting)
+        return built
+
+    @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1), (0, 1)])
+    def test_one_pool_per_solve(self, mild16, monkeypatch, threads, pools):
+        # one set of lanes serves every evaluation of a solve; a lane is a
+        # single-thread executor, and threads=0 runs one lane per subdomain,
+        # up to the CPU count
+        grid, spec, dec, _ = mild16
+        built = self.count_lanes(monkeypatch)
         _, report = raspen(np.zeros(2 * grid.size), dec, spec,
                            ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
         assert report.converged
         assert len(report.inner_iters) >= 3
-        workers = threads or min(len(dec), os.cpu_count())
-        assert built == [{"max_workers": workers}] * pools
+        lanes = threads or min(len(dec), os.cpu_count())
+        # a single lane maps on the calling thread and builds no executor
+        assert built == [{"max_workers": 1}] * (lanes * pools if lanes > 1 else 0)
+
+    def test_lanes_never_outnumber_subdomains(self, monkeypatch):
+        grid, spec = mild_problem(12)
+        dec = decompose(grid, 2, 1, 2)
+        built = self.count_lanes(monkeypatch)
+        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
+                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=4)
+        assert report.converged
+        assert built == [{"max_workers": 1}] * 2
+
+    def test_subdomain_owns_its_lane(self):
+        # item i runs on lane i % len(lanes) in every map of a pool
+        with schwarz._subdomain_pool(2, 5) as lanes:
+            maps = [schwarz._parallel_map(lambda i: threading.current_thread(),
+                                          [(i,) for i in range(5)], lanes)
+                    for _ in range(2)]
+        assert maps[0] == maps[1]
+        assert maps[0][0] is maps[0][2] is maps[0][4]
+        assert maps[0][1] is maps[0][3]
+        assert maps[0][0] is not maps[0][1]
