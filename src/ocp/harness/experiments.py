@@ -16,8 +16,8 @@ from ..grid import Grid, write_field_csv
 from ..krylov import KrylovConfig, SolverFault
 from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                       newton_continuation)
-from ..schwarz import (build_local_systems, decompose, ras_preconditioner,
-                       raspen_solve)
+from ..schwarz import (Lanes, build_local_systems, decompose,
+                       ras_preconditioner, raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
@@ -48,50 +48,47 @@ def schedule_for(cfg):
     return ContinuationSchedule.fixed(cfg.eps_min)
 
 
-def _monolithic_linear_solver(cfg):
-    if cfg.linear_solver in ("auto", "direct"):
+def _linear_solver(cfg):
+    """The Newton direction solver; the Schwarz methods precondition GMRES."""
+    if cfg.linear_solver != "gmres" and not (cfg.uses_ras or cfg.is_raspen):
         return "direct"
-    return KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=5000)
+    max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
+    return KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters)
 
 
 def solve_single(cfg, spec=None):
-    """Dispatch one solve per the configured method; returns (x, report, spec)."""
+    """Dispatch one solve per the configured method; returns (x, report, spec).
+
+    A Schwarz method decomposes the grid, builds the local systems and opens
+    the subdomain lanes once per solve.
+    """
     if spec is None:
         _, spec = build_problem(cfg)
     sched = schedule_for(cfg)
     x0 = np.zeros(2 * spec.grid.size)
-
-    if cfg.is_raspen:
-        dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
-        outer_cfg = NewtonConfig(
-            tol=cfg.tol, max_outer=cfg.max_outer,
-            linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=1000))
-        return (*raspen_solve(x0, dec, spec, sched, outer_cfg, cfg.inner_tol,
-                              cfg.threads, cfg.uses_continuation), spec)
-
+    newton_cfg = NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer,
+                              sigma=cfg.sigma, linear_solver=_linear_solver(cfg))
     residual_fn = lambda x, eps: residual(x, spec, eps)
     # GMRES needs only products; the assembled, ordered Jacobian is for factoring
-    matrix_free = cfg.uses_ras or cfg.linear_solver == "gmres"
+    matrix_free = newton_cfg.linear_solver != "direct"
     jacobian_fn = lambda x, eps: (jacobian_operator if matrix_free else jacobian)(x, spec, eps)
-    if cfg.uses_ras:
-        dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
-        systems = build_local_systems(dec, spec)
-        newton_cfg = NewtonConfig(
-            tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
-            linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=2000))
-        lu_fallbacks = []
-        precond_builder = lambda x, eps: ras_preconditioner(x, dec, spec, eps,
-                                                            systems, lu_fallbacks)
-        x, report = newton_continuation(x0, residual_fn, jacobian_fn, sched,
-                                        newton_cfg, precond_builder=precond_builder)
-        report.lu_fallbacks += sum(lu_fallbacks)
-        return x, report, spec
+    if not (cfg.uses_ras or cfg.is_raspen):
+        return (*newton_continuation(x0, residual_fn, jacobian_fn, sched,
+                                     newton_cfg), spec)
 
-    newton_cfg = NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer,
-                              sigma=cfg.sigma,
-                              linear_solver=_monolithic_linear_solver(cfg))
-    x, report = newton_continuation(x0, residual_fn, jacobian_fn, sched,
-                                    newton_cfg)
+    dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
+    systems = build_local_systems(dec, spec)
+    with Lanes(cfg.threads, len(dec)) as lanes:
+        if cfg.is_raspen:
+            x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, cfg.inner_tol,
+                                     cfg.uses_continuation, systems, lanes)
+        else:
+            lu_fallbacks = []
+            x, report = newton_continuation(
+                x0, residual_fn, jacobian_fn, sched, newton_cfg,
+                precond_builder=lambda x, eps: ras_preconditioner(
+                    x, dec, spec, eps, systems, lu_fallbacks, lanes))
+            report.lu_fallbacks += sum(lu_fallbacks)
     return x, report, spec
 
 

@@ -14,8 +14,8 @@ from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
                         NewtonConfig, Ordered, SolverFault, backtrack,
                         newton_continuation, sparse_lu)
 import ocp.schwarz as schwarz
-from ocp.schwarz import (LocalSolveError, build_local_systems, decompose,
-                         ras_preconditioner, raspen_residual)
+from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
+                         decompose, ras_preconditioner, raspen_residual)
 from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
                         pair_jacobian, residual, split_pair)
 
@@ -498,7 +498,9 @@ class TestSparseLU:
         monkeypatch.setattr(schwarz, "pair_jacobian", singular_pair_jacobian)
         x = np.zeros(2 * grid.size)
         with pytest.raises(LocalSolveError, match="singular") as info:
-            ras_preconditioner(x, dec, spec, 1e-2, build_local_systems(dec, spec), [])
+            with Lanes(2, len(dec)) as lanes:
+                ras_preconditioner(x, dec, spec, 1e-2, build_local_systems(dec, spec),
+                                   [], lanes)
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2)

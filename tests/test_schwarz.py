@@ -18,7 +18,7 @@ from ocp.krylov import KrylovConfig, gmres
 import ocp.newton as newton
 from ocp.newton import ContinuationSchedule, NewtonConfig, newton_continuation
 import ocp.schwarz as schwarz
-from ocp.schwarz import (LocalSolveError, _local_problem, _tile_edges,
+from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
 import ocp.system as system
@@ -44,8 +44,10 @@ def solve_monolithic(spec, eps, tol=1e-12):
 
 
 def ras(x, dec, spec, eps):
-    """RAS preconditioner at x on freshly built local systems."""
-    return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec), [])
+    """RAS preconditioner at x on freshly built local systems, built inline."""
+    with Lanes(1, len(dec)) as lanes:
+        return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec),
+                                  [], lanes)
 
 
 # the outer configuration of the RASPEN tests
@@ -53,7 +55,16 @@ RASPEN_CFG = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-8, max_iters=400
 
 
 def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0, continuation=True):
-    return raspen_solve(x0, dec, spec, sched, cfg, 1e-8, threads, continuation)
+    with Lanes(threads, len(dec)) as lanes:
+        return raspen_solve(x0, dec, spec, sched, cfg, 1e-8, continuation,
+                            build_local_systems(dec, spec), lanes)
+
+
+def mild16_config(method, threads):
+    """The solve_single config of the mild16 problem and decomposition."""
+    return build_config(overrides=dict(
+        method=method, n=16, kappa=0.1, nu=1e-2, mu=1.0, k_tilde=2,
+        eps_min=1e-3, s1=2, s2=2, overlap=2, threads=threads))
 
 
 def owned(sub):
@@ -375,12 +386,14 @@ class TestRasPreconditioner:
         grid, spec, dec, x_sol = mild16
         systems = build_local_systems(dec, spec)
         x0 = np.zeros(2 * grid.size)
-        x, report = newton_continuation(
-            x0, lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian_operator(z, spec, e),
-            ContinuationSchedule.fixed(1e-2),
-            NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
-            precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e, systems, []))
+        with Lanes(2, len(dec)) as lanes:
+            x, report = newton_continuation(
+                x0, lambda z, e: residual(z, spec, e, check=False),
+                lambda z, e: jacobian_operator(z, spec, e),
+                ContinuationSchedule.fixed(1e-2),
+                NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
+                precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e,
+                                                                systems, [], lanes))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
         assert np.abs(x - x_sol).max() <= 1e-8 * max(1.0, np.abs(x_sol).max())
@@ -488,13 +501,13 @@ class TestLocalFactorFailure:
                                              threads):
         grid, spec, dec, patch = failing_splu
         patch(bad)
-        with schwarz._subdomain_pool(threads, len(dec)) as lanes:
+        with Lanes(threads, len(dec)) as lanes:
             with pytest.raises(LocalSolveError, match="singular") as info:
                 raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
                                 lanes=lanes)
-            # the other subdomains' factors went on their own lanes before
-            # the error reached the caller, not at the lanes' shutdown
-            assert_freed_where_made(factor_log)
+        # the other subdomains' frozen factors stayed on their lanes until
+        # the close, which dropped them there
+        assert_freed_where_made(factor_log)
         assert info.value.subdomain == bad
         assert factor_log
 
@@ -504,12 +517,32 @@ class TestLocalFactorFailure:
         for bad in (2, 1):
             patch(bad)
         # subdomains 1 and 2 fail on different lanes; 1 comes first in order
-        with schwarz._subdomain_pool(2, len(dec)) as lanes:
+        with Lanes(2, len(dec)) as lanes:
             with pytest.raises(LocalSolveError) as info:
                 raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
                                 lanes=lanes)
-            assert_freed_where_made(factor_log)
+        assert_freed_where_made(factor_log)
         assert info.value.subdomain == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_ras_build_frees_factors_where_made(self, factor_log,
+                                                        failing_splu, threads):
+        # subdomain 2 fails on lane 0 after subdomains 0 and 1 factored on
+        # lanes 0 and 1; their factors stay there until the lanes close
+        grid, spec, dec, patch = failing_splu
+        patch(2)
+        state_solve = len(factor_log)  # made while building spec
+        cfg = build_config(overrides=dict(
+            method="newton-ras-eps", n=11, kappa=0.1, nu=1e-2, mu=1.0,
+            k_tilde=2, s1=1, s2=3, overlap=1, threads=threads))
+        x, report, _ = solve_single(cfg, spec)
+        assert report.failure.startswith("subdomain 2: singular")
+        assert report.outer_iters == 0
+        np.testing.assert_array_equal(x, np.zeros(2 * grid.size))
+        assert len(factor_log) == state_solve + 2
+        assert_freed_where_made(factor_log)
+        makers = {r["made"] for r in factor_log[state_solve:]}
+        assert (makers == {threading.current_thread()}) == (threads == 1)
 
 
 class TestRaspen:
@@ -616,12 +649,14 @@ class TestRaspen:
     def test_factors_freed_on_the_thread_that_made_them(self, mild16, factor_log,
                                                         threads):
         grid, spec, dec, _ = mild16
-        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
-                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
-        assert report.converged
-        assert_freed_where_made(factor_log)
-        makers = {r["made"] for r in factor_log}
-        assert (makers == {threading.current_thread()}) == (threads == 1)
+        for method in ("raspen-eps", "newton-ras-eps"):
+            factor_log.clear()
+            _, report, _ = solve_single(mild16_config(method, threads), spec)
+            assert report.converged, method
+            assert report.outer_iters >= 2, method
+            assert_freed_where_made(factor_log)
+            makers = {r["made"] for r in factor_log}
+            assert (makers == {threading.current_thread()}) == (threads == 1), method
 
     def test_local_failure_becomes_failed_report(self, mild16, monkeypatch,
                                                  factor_log):
@@ -680,18 +715,29 @@ class TestRaspen:
 
     @pytest.mark.parametrize("threads,pools", [(1, 0), (2, 1), (0, 1)])
     def test_one_pool_per_solve(self, mild16, monkeypatch, threads, pools):
-        # one set of lanes serves every evaluation of a solve; a lane is a
-        # single-thread executor, and threads=0 runs one lane per subdomain,
-        # up to the CPU count
+        # one decomposition, one set of local systems and one set of lanes
+        # serve every subdomain map of a solve; a lane is a single-thread
+        # executor, and threads=0 runs one lane per subdomain, up to the CPU
+        # count
         grid, spec, dec, _ = mild16
+        setups = []
+        for module in (experiments, schwarz):
+            for name in ("decompose", "build_local_systems", "Lanes"):
+                def counting(*args, _name=name, _real=getattr(module, name)):
+                    setups.append(_name)
+                    return _real(*args)
+                monkeypatch.setattr(module, name, counting)
         built = self.count_lanes(monkeypatch)
-        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
-                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
-        assert report.converged
-        assert len(report.inner_iters) >= 3
         lanes = threads or min(len(dec), os.cpu_count())
-        # a single lane maps on the calling thread and builds no executor
-        assert built == [{"max_workers": 1}] * (lanes * pools if lanes > 1 else 0)
+        for method in ("raspen-eps", "newton-ras-eps"):
+            setups.clear()
+            built.clear()
+            _, report, _ = solve_single(mild16_config(method, threads), spec)
+            assert report.converged, method
+            assert report.outer_iters >= 2, method
+            assert sorted(setups) == ["Lanes", "build_local_systems", "decompose"]
+            # a single lane maps on the calling thread and builds no executor
+            assert built == [{"max_workers": 1}] * (lanes * pools if lanes > 1 else 0)
 
     def test_lanes_never_outnumber_subdomains(self, monkeypatch):
         grid, spec = mild_problem(12)
@@ -703,12 +749,36 @@ class TestRaspen:
         assert built == [{"max_workers": 1}] * 2
 
     def test_subdomain_owns_its_lane(self):
-        # item i runs on lane i % len(lanes) in every map of a pool
-        with schwarz._subdomain_pool(2, 5) as lanes:
-            maps = [schwarz._parallel_map(lambda i: threading.current_thread(),
-                                          [(i,) for i in range(5)], lanes)
+        # item i runs on lane i % len(lanes) in every map of a set of lanes
+        with Lanes(2, 5) as lanes:
+            maps = [lanes.map(lambda i: threading.current_thread(),
+                              [(i,) for i in range(5)])
                     for _ in range(2)]
         assert maps[0] == maps[1]
         assert maps[0][0] is maps[0][2] is maps[0][4]
         assert maps[0][1] is maps[0][3]
         assert maps[0][0] is not maps[0][1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lanes_keep_results_until_next_map_or_close(self, threads):
+        log = []
+
+        def make(i):
+            if i == 3:
+                raise LocalSolveError(i, "injected")
+            return LoggedFactor(None, log)
+
+        def alive():
+            return [r["freed"] is None for r in log]
+
+        with Lanes(threads, 5) as lanes:
+            first = lanes.map(make, [(i,) for i in range(3)])
+            del first
+            assert alive() == [True] * 3
+            with pytest.raises(LocalSolveError):
+                lanes.map(make, [(i,) for i in range(5)])
+            # on lanes, a failed map keeps what its other tasks made; inline,
+            # it stops at the failing item and keeps nothing
+            assert alive() == [False] * 3 + [threads > 1] * (4 if threads > 1 else 3)
+        assert not any(alive())
+        assert_freed_where_made(log)
