@@ -208,13 +208,10 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
 
 
 class Lanes:
-    """The owner lanes of one Schwarz solve: min(workers, tasks) single-thread
-    executors, where threads=0 means one worker per subdomain, up to
-    cpu_count.  A single worker maps on the calling thread.
-
-    Each map keeps its results until the next map or the close of the lanes
-    (the end of the with block), which drops them on the lanes that made
-    them.  Callers only borrow the results.
+    """Owner lanes of one Schwarz solve (see above), closed at the end of a
+    with block: min(workers, tasks) single-thread executors, where threads=0
+    means one worker per subdomain, up to cpu_count, and a single worker
+    maps on the calling thread.
     """
 
     def __init__(self, threads, tasks):
@@ -273,13 +270,18 @@ def _scatter_own(dec, values):
 def ras_preconditioner(x, dec, spec, eps, systems, lu_fallbacks, lanes):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
-    Subdomain i's local Jacobian is factored on its lane.  The number of
-    local factors that needed the pivoted fallback is appended to the list
-    lu_fallbacks.
+    Subdomain i's local Jacobian is assembled and factored on its lane.  The
+    number of local factors that needed the pivoted fallback is appended to
+    the list lu_fallbacks.
     """
-    factors = lanes.map(_factor_local, [
-        (i, pair_jacobian(loc.pattern, *split_pair(x[sub.pair_idx]), spec, eps))
-        for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))])
+    def factor(i, sub, loc):
+        # each block right before its factor: assembling all blocks first let
+        # the allocator return the factors' pages, 15x the page faults
+        jac_loc = pair_jacobian(loc.pattern, *split_pair(x[sub.pair_idx]), spec, eps)
+        return _factor_local(i, jac_loc)
+
+    factors = lanes.map(factor, [(i, sub, loc) for i, (sub, loc)
+                                 in enumerate(zip(dec.subdomains, systems))])
     lus = [lu for lu, _ in factors]
     lu_fallbacks.append(sum(fallbacks for _, fallbacks in factors))
 
