@@ -527,8 +527,8 @@ class TestLocalFactorFailure:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_ras_build_frees_factors_where_made(self, factor_log,
                                                         failing_splu, threads):
-        # subdomain 2 fails on lane 0 after subdomains 0 and 1 factored on
-        # lanes 0 and 1; their factors stay there until the lanes close
+        # at threads=2, subdomain 2 fails on lane 0 after subdomains 0 and 1
+        # factored on lanes 0 and 1; their factors stay there until the close
         grid, spec, dec, patch = failing_splu
         patch(2)
         state_solve = len(factor_log)  # made while building spec
@@ -779,6 +779,7 @@ class TestRaspen:
                 lanes.map(make, [(i,) for i in range(5)])
             # on lanes, a failed map keeps what its other tasks made; inline,
             # it stops at the failing item and keeps nothing
-            assert alive() == [False] * 3 + [threads > 1] * (4 if threads > 1 else 3)
+            kept = [True] * 4 if threads > 1 else [False] * 3
+            assert alive() == [False] * 3 + kept
         assert not any(alive())
         assert_freed_where_made(log)
