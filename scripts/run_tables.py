@@ -9,11 +9,11 @@ failures and the table exits 4, which this driver treats as expected.
 """
 
 import argparse
-import os
 import sys
 import time
 
 from ocp.harness.cli import main as ocp_main
+from ocp.schwarz import usable_cpus
 
 
 def planned_runs(out, threads, quick):
@@ -50,7 +50,7 @@ def planned_runs(out, threads, quick):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results")
-    ap.add_argument("--threads", type=int, default=min(4, os.cpu_count()))
+    ap.add_argument("--threads", type=int, default=min(4, usable_cpus()))
     ap.add_argument("--quick", action="store_true",
                     help="smaller grids, under a minute total")
     args = ap.parse_args()

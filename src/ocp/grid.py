@@ -77,7 +77,3 @@ def build_laplacian(grid):
     eye = sp.identity(n, format="csr")
     return ((sp.kron(eye, t) + sp.kron(t, eye)) / grid.h ** 2).tocsr()
 
-
-def write_field_csv(path, grid, v):
-    """Serialize a field: one CSV row per grid row, row-major, full precision."""
-    np.savetxt(path, np.asarray(v).reshape(grid.n, grid.n), delimiter=",", fmt="%.17g")

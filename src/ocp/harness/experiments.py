@@ -7,12 +7,12 @@ reported but never asserted anywhere, iteration counts are the quantities
 of interest.
 """
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..grid import Grid, write_field_csv
+from ..grid import Grid
 from ..krylov import KrylovConfig, SolverFault
 from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                       newton_continuation)
@@ -22,9 +22,9 @@ from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
 from .config import config_to_dict
-from .reports import (BenchmarkRow, report_to_dict, write_benchmark_csv,
-                      write_pairs_csv, write_report_json,
-                      write_residual_history_csv)
+from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
+                      history_rows, report_to_dict, write_csv,
+                      write_report_json)
 
 EPS_TABLE_MONO = (1.0, 1e-3, 1e-5, 1e-10, 1e-13, 1e-15)
 EPS_TABLE_RASPEN = (1.0, 1e-5, 1e-10, 1e-15)
@@ -92,22 +92,21 @@ def solve_single(cfg, spec=None):
     return x, report, spec
 
 
-def sparsity_fraction(u, threshold=SPARSITY_THRESHOLD):
-    """Share of entries below threshold * ||u||_inf (1.0 for the zero field)."""
+def sparsity_fraction(u):
+    """Share of entries below SPARSITY_THRESHOLD * ||u||_inf (1.0 for the zero field)."""
     scale = np.abs(u).max()
     if scale == 0.0:
         return 1.0
-    return float(np.mean(np.abs(u) < threshold * scale))
+    return float(np.mean(np.abs(u) < SPARSITY_THRESHOLD * scale))
 
 
 def run_single(cfg, out_dir):
     """One configured solve plus its artifact set; returns (exit_code, report).
 
     A fault in the problem set-up (the manufactured state solve) fails the
-    run before any iterate exists; the artifacts then hold x0 = 0.
+    run before any iterate exists; the artifacts then hold x0 = 0.  Any
+    other error (a config the solver rejects) leaves out_dir untouched.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = Grid(cfg.n)
     try:
         x, report, spec = solve_single(cfg)
@@ -120,11 +119,12 @@ def run_single(cfg, out_dir):
 
     data = report_to_dict(config_to_dict(cfg), report,
                           sparsity_fraction=sparsity_fraction(u))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", data)
-    write_residual_history_csv(out / "residual_history.csv", report)
-    write_field_csv(out / "y.csv", grid, y)
-    write_field_csv(out / "p.csv", grid, p)
-    write_field_csv(out / "u.csv", grid, u)
+    write_csv(out / "residual_history.csv", HISTORY_COLUMNS, history_rows(report))
+    for name, v in (("y", y), ("p", p), ("u", u)):
+        write_csv(out / f"{name}.csv", None, np.reshape(v, (grid.n, grid.n)))
     return (0 if report.converged else 3), data
 
 
@@ -214,7 +214,7 @@ def run_table(table_id, base_cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [_run_cell(cfg) for cfg in table_cells(table_id, base_cfg)]
-    write_benchmark_csv(out / f"table_{table_id}.csv", rows)
+    write_csv(out / f"table_{table_id}.csv", BENCHMARK_COLUMNS, map(astuple, rows))
     code = 0 if all(row.converged for row in rows) else 4
     return code, rows
 
@@ -269,7 +269,7 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
         failure = str(exc)
         raise
     finally:
-        write_pairs_csv(out / "rate.csv", ["eps", "h1_error"], rows)
+        write_csv(out / "rate.csv", ["eps", "h1_error"], rows)
         write_report_json(out / "rate.json",
                           {"schema": 1, "n": n, "eps_ref": eps_ref, "slope": slope,
                            "failure": failure, "nu": nu, "mu": mu, "kappa": kappa})
@@ -292,7 +292,8 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
                 u = recover_control(p, spec, eps)
                 rows.append((mu, eps, sparsity_fraction(u)))
                 if dump_fields:
-                    write_field_csv(out / f"u_mu{mu:g}_eps{eps:g}.csv", grid, u)
+                    write_csv(out / f"u_mu{mu:g}_eps{eps:g}.csv", None,
+                              np.reshape(u, (n, n)))
     finally:
-        write_pairs_csv(out / "sparsity.csv", ["mu", "eps", "fraction"], rows)
+        write_csv(out / "sparsity.csv", ["mu", "eps", "fraction"], rows)
     return rows

@@ -1,11 +1,13 @@
-"""Artifact emission: report.json, residual history, and benchmark tables.
+"""Artifact emission: report.json and every CSV (history, tables, studies, fields).
 
 Floats are written with repr (shortest round-trip), so every CSV re-parses to
-exactly the values recorded in report.json.  Timing lives in its own report
-key; everything outside "timing" is deterministic for a fixed config.
+exactly the values recorded in report.json and the solve's arrays.  Timing
+lives in its own report key; everything outside "timing" is deterministic for
+a fixed config.
 """
 
 import csv
+from itertools import chain, repeat
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -17,7 +19,7 @@ def _fmt(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -47,15 +49,24 @@ def write_report_json(path, data):
                           encoding="utf-8")
 
 
-def write_residual_history_csv(path, report):
-    """One row per outer iterate; iterate 0 has no step, so alpha/gmres are empty."""
+def write_csv(path, header, rows):
+    """One CSV artifact: the header row unless it is None, then the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "eps", "residual", "alpha", "gmres_iters"])
-        for k, (eps, res) in enumerate(zip(report.eps_values, report.residual_norms)):
-            alpha = report.alphas[k - 1] if 1 <= k <= len(report.alphas) else None
-            gmres = report.gmres_iters[k - 1] if 1 <= k <= len(report.gmres_iters) else None
-            writer.writerow([k, _fmt(eps), _fmt(res), _fmt(alpha), _fmt(gmres)])
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+HISTORY_COLUMNS = ["iteration", "eps", "residual", "alpha", "gmres_iters"]
+
+
+def history_rows(report):
+    """One row per outer iterate; iterate 0 has no step, so alpha/gmres are empty."""
+    step = lambda values: chain([None], values, repeat(None))
+    return [[k, *cells] for k, cells in enumerate(zip(
+        report.eps_values, report.residual_norms, step(report.alphas),
+        step(report.gmres_iters)))]
 
 
 @dataclass
@@ -77,20 +88,3 @@ class BenchmarkRow:
 
 
 BENCHMARK_COLUMNS = [f.name for f in fields(BenchmarkRow)]
-
-
-def write_benchmark_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCHMARK_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in BENCHMARK_COLUMNS])
-
-
-def write_pairs_csv(path, header, pairs):
-    """Small two-or-more column numeric CSV (rate and sparsity studies)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in pairs:
-            writer.writerow([_fmt(v) for v in row])

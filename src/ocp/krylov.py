@@ -66,17 +66,10 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     if beta <= threshold:
         return GmresResult(x, 0, beta, True, history)
 
-    x, residual, steps, converged = _cycle(
-        apply_op, apply_m, x, r, beta, threshold, cfg.max_iters, history)
-    return GmresResult(x, steps, residual, converged, history)
-
-
-def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):
-    """One Arnoldi cycle starting from residual r0 with norm beta."""
-    n = r0.shape[0]
+    max_steps, n = cfg.max_iters, r.shape[0]
     cap = min(32, max_steps)
     q = np.empty((cap + 1, n))
-    q[0] = r0 / beta
+    q[0] = r / beta
     # Hessenberg columns after Givens rotations, the rotations, and the rhs
     h_cols, cs, sn = [], [], []
     g = np.zeros(max_steps + 1)
@@ -135,4 +128,4 @@ def _cycle(apply_op, apply_m, x, r0, beta, threshold, max_steps, history):
     y = np.zeros(steps)
     for i in range(steps - 1, -1, -1):
         y[i] = (g[i] - float(np.dot(rmat[i, i + 1:], y[i + 1:]))) / rmat[i, i]
-    return x + y @ q[:steps], residual, steps, converged
+    return GmresResult(x + y @ q[:steps], steps, residual, converged, history)

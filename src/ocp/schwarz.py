@@ -207,15 +207,22 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
     return v, report.outer_iters, jac_loc, lu, report.lu_fallbacks + fallbacks
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Lanes:
     """Owner lanes of one Schwarz solve (see above), closed at the end of a
     with block: min(workers, tasks) single-thread executors, where threads=0
-    means one worker per subdomain, up to cpu_count, and a single worker
+    means one worker per subdomain, up to usable_cpus(), and a single worker
     maps on the calling thread.
     """
 
     def __init__(self, threads, tasks):
-        workers = min(threads if threads else os.cpu_count() or 1, tasks)
+        workers = min(threads or usable_cpus(), tasks)
         self._lanes = [] if workers == 1 else [ThreadPoolExecutor(max_workers=1)
                                                for _ in range(workers)]
         self._held = []

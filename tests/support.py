@@ -60,7 +60,7 @@ def objective(u, spec, eps, quad_tol=1e-10):
 
 
 def read_field_csv(path, grid):
-    """Inverse of ocp.grid.write_field_csv."""
+    """Inverse of ocp.harness.reports.write_csv for a field (no header, n x n)."""
     vals = np.loadtxt(path, delimiter=",", ndmin=2)
     if vals.shape != (grid.n, grid.n):
         raise ValueError(f"field file {path} has shape {vals.shape}, expected {(grid.n, grid.n)}")
@@ -79,7 +79,7 @@ def read_report_json(path):
 
 
 def read_residual_history_csv(path):
-    """Inverse of ocp.harness.reports.write_residual_history_csv."""
+    """Inverse of write_csv on ocp.harness.reports.history_rows."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for record in csv.DictReader(fh):
@@ -107,7 +107,7 @@ def _parse_cell(kind, text):
 
 
 def read_benchmark_csv(path):
-    """Inverse of ocp.harness.reports.write_benchmark_csv."""
+    """Inverse of write_csv on a table's BenchmarkRow tuples."""
     with open(path, newline="", encoding="utf-8") as fh:
         return [BenchmarkRow(**{col: _parse_cell(_BENCHMARK_TYPES[col], text)
                                 for col, text in record.items()})
@@ -115,7 +115,7 @@ def read_benchmark_csv(path):
 
 
 def read_pairs_csv(path):
-    """Inverse of ocp.harness.reports.write_pairs_csv."""
+    """Inverse of write_csv on a study's numeric rows (rate, sparsity)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocp.grid import (Grid, NonfiniteFieldError, build_laplacian, check_finite,
-                      write_field_csv)
+from ocp.grid import Grid, NonfiniteFieldError, build_laplacian, check_finite
+from ocp.harness.reports import write_csv
 from support import read_field_csv
 
 
@@ -105,7 +105,7 @@ def test_field_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(g.size) * 1e6
     path = tmp_path / "field.csv"
-    write_field_csv(path, g, v)
+    write_csv(path, None, v.reshape(g.n, g.n))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == g.n
     assert np.array_equal(read_field_csv(path, g), v)

@@ -1,7 +1,7 @@
 """Configuration, artifact round trips, table protocols, and CLI exit codes."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,13 +19,14 @@ from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
                                      solve_single, sparsity_fraction,
                                      sparsity_study, table_cells)
-from ocp.harness.reports import (BenchmarkRow, report_to_dict,
-                                 write_benchmark_csv, write_pairs_csv)
+from ocp.harness.reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS,
+                                 BenchmarkRow, history_rows, report_to_dict,
+                                 write_csv)
 from ocp.krylov import SolverFault
 import ocp.newton as newton
 from ocp.newton import SolveReport
 import ocp.schwarz as schwarz
-from ocp.system import Nonlinearity
+from ocp.system import Nonlinearity, recover_control, split_pair
 from support import (config_to_text, read_benchmark_csv, read_field_csv,
                      read_pairs_csv, read_report_json, read_residual_history_csv)
 
@@ -160,8 +161,7 @@ class TestReports:
     def test_residual_history_round_trip(self, tmp_path):
         report = self._report()
         path = tmp_path / "residual_history.csv"
-        from ocp.harness.reports import write_residual_history_csv
-        write_residual_history_csv(path, report)
+        write_csv(path, HISTORY_COLUMNS, history_rows(report))
         rows = read_residual_history_csv(path)
         assert [r["iteration"] for r in rows] == [0, 1, 2, 3]
         assert [r["residual"] for r in rows] == report.residual_norms
@@ -178,13 +178,13 @@ class TestReports:
                          0, None, None, 0.0, False, "did not converge"),
         ]
         path = tmp_path / "table.csv"
-        write_benchmark_csv(path, rows)
+        write_csv(path, BENCHMARK_COLUMNS, map(astuple, rows))
         assert read_benchmark_csv(path) == rows
 
     def test_pairs_csv_round_trip(self, tmp_path):
         pairs = [(0.1, 223.0356005135898), (0.01, 68.2868458519769)]
         path = tmp_path / "rate.csv"
-        write_pairs_csv(path, ["eps", "h1_error"], pairs)
+        write_csv(path, ["eps", "h1_error"], pairs)
         header, parsed = read_pairs_csv(path)
         assert header == ["eps", "h1_error"]
         assert [tuple(row) for row in parsed] == pairs
@@ -211,6 +211,16 @@ class TestRunSingle:
         for name in ("y.csv", "p.csv"):
             read_field_csv(tmp_path / name, grid)
         assert sparsity_fraction(u) == on_disk["sparsity_fraction"]
+
+    def test_fields_parse_to_the_solve_bitwise(self, tmp_path):
+        cfg = mild_config()
+        x, _, spec = solve_single(cfg)
+        run_single(cfg, tmp_path)
+        y, p = split_pair(x)
+        u = recover_control(p, spec, cfg.eps_min)
+        for name, v in (("y", y), ("p", p), ("u", u)):
+            parsed = read_field_csv(tmp_path / f"{name}.csv", Grid(cfg.n))
+            assert parsed.tobytes() == v.tobytes(), name
 
     @pytest.mark.parametrize("method", ["newton-eps", "newton-ras-eps",
                                         "raspen-eps"])
@@ -395,7 +405,7 @@ class TestStudies:
     def test_rate_study_warm_starts_match_cold_solves(self, tmp_path,
                                                       monkeypatch):
         from ocp.harness.experiments import _continuation_solve
-        from ocp.system import construct_plateau_problem, split_pair
+        from ocp.system import construct_plateau_problem
         assemblies = []
         real = experiments.jacobian
 
@@ -507,6 +517,14 @@ class TestCli:
                      ["solve", "--gmres-tol", "0"]):
             assert main(argv + ["--out", str(tmp_path / "out")]) == 2
             assert "tolerances must be positive" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        # so does a decomposition that the grid cannot hold, which only the
+        # solve finds
+        for argv in (["--method", "raspen", "--n", "8", "--subdomains", "4x4",
+                      "--overlap", "3"],
+                     ["--method", "newton-ras", "--n", "3", "--subdomains", "4x4"]):
+            assert main(["solve", *argv, "--out", str(tmp_path / "out")]) == 2
+            assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     def test_solver_failure_exit_three(self, tmp_path):

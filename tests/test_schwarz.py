@@ -728,7 +728,7 @@ class TestRaspen:
                     return _real(*args)
                 monkeypatch.setattr(module, name, counting)
         built = self.count_lanes(monkeypatch)
-        lanes = threads or min(len(dec), os.cpu_count())
+        lanes = threads or min(len(dec), schwarz.usable_cpus())
         for method in ("raspen-eps", "newton-ras-eps"):
             setups.clear()
             built.clear()
@@ -747,6 +747,21 @@ class TestRaspen:
                            ContinuationSchedule(1.0, 0.2, 1e-3), threads=4)
         assert report.converged
         assert built == [{"max_workers": 1}] * 2
+
+    def test_all_threads_follow_the_affinity_mask(self, monkeypatch):
+        # threads=0 counts the CPUs this process may run on, not the host's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert schwarz.usable_cpus() == 1
+        built = self.count_lanes(monkeypatch)
+        with Lanes(0, 4) as lanes:
+            ran_on = lanes.map(lambda i: threading.current_thread(),
+                               [(i,) for i in range(4)])
+        assert ran_on == [threading.current_thread()] * 4
+        assert built == []
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert schwarz.usable_cpus() == 8
 
     def test_subdomain_owns_its_lane(self):
         # item i runs on lane i % len(lanes) in every map of a set of lanes
