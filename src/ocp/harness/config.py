@@ -8,6 +8,7 @@ other edit.
 """
 
 from dataclasses import dataclass, fields
+import math
 
 METHODS = ("newton", "newton-eps", "newton-ras", "newton-ras-eps",
            "raspen", "raspen-eps")
@@ -41,6 +42,10 @@ class ExperimentConfig:
     max_outer: int = 200
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {', '.join(METHODS)}")
@@ -66,11 +71,8 @@ class ExperimentConfig:
             raise ConfigError("threads must be nonnegative")
         if self.max_outer < 0:
             raise ConfigError("max_outer must be nonnegative")
-        if self.uses_ras and self.linear_solver == "direct":
-            raise ConfigError(f"method {self.method} preconditions GMRES; "
-                              "a direct linear solver is incompatible")
-        if self.is_raspen and self.linear_solver == "direct":
-            raise ConfigError("raspen solves its outer system matrix-free; "
+        if (self.uses_ras or self.is_raspen) and self.linear_solver == "direct":
+            raise ConfigError(f"method {self.method} solves with GMRES; "
                               "a direct linear solver is incompatible")
 
     @property

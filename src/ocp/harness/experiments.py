@@ -48,14 +48,6 @@ def schedule_for(cfg):
     return ContinuationSchedule.fixed(cfg.eps_min)
 
 
-def _linear_solver(cfg):
-    """The Newton direction solver; the Schwarz methods precondition GMRES."""
-    if cfg.linear_solver != "gmres" and not (cfg.uses_ras or cfg.is_raspen):
-        return "direct"
-    max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
-    return KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters)
-
-
 def solve_single(cfg, spec=None):
     """Dispatch one solve per the configured method; returns (x, report, spec).
 
@@ -66,13 +58,16 @@ def solve_single(cfg, spec=None):
         _, spec = build_problem(cfg)
     sched = schedule_for(cfg)
     x0 = np.zeros(2 * spec.grid.size)
-    newton_cfg = NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer,
-                              sigma=cfg.sigma, linear_solver=_linear_solver(cfg))
+    decomposed = cfg.uses_ras or cfg.is_raspen
+    max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
+    newton_cfg = NewtonConfig(
+        tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
+        linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters))
     residual_fn = lambda x, eps: residual(x, spec, eps)
-    # GMRES needs only products; the assembled, ordered Jacobian is for factoring
-    matrix_free = newton_cfg.linear_solver != "direct"
-    jacobian_fn = lambda x, eps: (jacobian_operator if matrix_free else jacobian)(x, spec, eps)
-    if not (cfg.uses_ras or cfg.is_raspen):
+    # the Jacobian picks the direction solver: an assembled, ordered one is factored
+    factored = not decomposed and cfg.linear_solver != "gmres"
+    jacobian_fn = lambda x, eps: (jacobian if factored else jacobian_operator)(x, spec, eps)
+    if not decomposed:
         return (*newton_continuation(x0, residual_fn, jacobian_fn, sched,
                                      newton_cfg), spec)
 
@@ -83,12 +78,12 @@ def solve_single(cfg, spec=None):
             x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, cfg.inner_tol,
                                      cfg.uses_continuation, systems, lanes)
         else:
-            lu_fallbacks = []
-            x, report = newton_continuation(
+            report = SolveReport()
+            x, _ = newton_continuation(
                 x0, residual_fn, jacobian_fn, sched, newton_cfg,
                 precond_builder=lambda x, eps: ras_preconditioner(
-                    x, dec, spec, eps, systems, lu_fallbacks, lanes))
-            report.lu_fallbacks += sum(lu_fallbacks)
+                    x, dec, spec, eps, systems, report, lanes),
+                report=report)
     return x, report, spec
 
 
@@ -111,7 +106,7 @@ def run_single(cfg, out_dir):
     try:
         x, report, spec = solve_single(cfg)
     except SolverFault as exc:
-        report = SolveReport(False, 0, failure=str(exc))
+        report = SolveReport(failure=str(exc))
         y = p = u = np.zeros(grid.size)
     else:
         y, p = split_pair(x)
@@ -144,7 +139,7 @@ def _run_cell(cfg):
         _, report, _ = solve_single(cfg)
     except (SolverFault, ValueError) as exc:
         # set-up faults and bad cell configs; a programming error propagates
-        report = SolveReport(False, 0, failure=str(exc))
+        report = SolveReport(failure=str(exc))
     return _benchmark_row(cfg, report)
 
 
@@ -231,6 +226,15 @@ def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
     return x
 
 
+def _check_study(kappa, **positive):
+    """Reject bad study parameters before any file is written."""
+    for name, values in positive.items():
+        if not all(0.0 < v < np.inf for v in np.atleast_1d(values)):
+            raise ValueError(f"{name} must be positive and finite, got {values!r}")
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
+
+
 def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
                eps_ref=1e-12, tol=1e-10):
     """Distance of smoothed solutions to a near-limit reference, per eps.
@@ -242,6 +246,7 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     least-squares line of log error against log eps.  A SolverFault still
     writes rate.json, with the failure and a null slope, then propagates.
     """
+    _check_study(kappa, eps_list=eps_list, eps_ref=eps_ref, nu=nu, mu=mu, tol=tol)
     eps_list = sorted(eps_list, reverse=True)
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
@@ -280,6 +285,7 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
                    tol=1e-10, dump_fields=True):
     """Sparsity fraction of the recovered control over a (mu, eps) grid; a
     SolverFault still writes the cells completed before it, then propagates."""
+    _check_study(kappa, mu_list=mu_list, eps_list=eps_list, nu=nu, tol=tol)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = Grid(n)

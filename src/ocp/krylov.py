@@ -19,7 +19,7 @@ class SolverFault(RuntimeError):
 
 
 class GmresBreakdownError(SolverFault):
-    """Nonfinite Arnoldi entries; the operator or preconditioner misbehaved."""
+    """Nonfinite Arnoldi entries or a singular Hessenberg column."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,9 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
             h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
             h[i] = hi
         rad = float(np.hypot(h[j], h[j + 1]))
-        c, s = (1.0, 0.0) if rad == 0.0 else (h[j] / rad, h[j + 1] / rad)
+        if rad == 0.0:  # the operator is singular on the invariant Krylov space
+            raise GmresBreakdownError(f"singular Hessenberg at iteration {j + 1}")
+        c, s = h[j] / rad, h[j + 1] / rad
         cs.append(c)
         sn.append(s)
         h[j] = rad

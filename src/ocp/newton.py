@@ -59,8 +59,8 @@ class NewtonConfig:
     tol: float = 1e-10
     max_outer: int = 200
     sigma: float = 1.1
-    # "direct" for a sparse LU on the assembled Jacobian, or a KrylovConfig
-    linear_solver: object = "direct"
+    # the GMRES budget, used when the Jacobian is an operator
+    linear_solver: KrylovConfig = KrylovConfig()
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -71,8 +71,8 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    converged: bool
-    outer_iters: int
+    converged: bool = False
+    outer_iters: int = 0
     residual_norms: list = field(default_factory=list)
     eps_values: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
@@ -159,41 +159,42 @@ def sparse_lu(jac, splu):
     return (Ordered(lu, jac.order, jac.position) if ordered else lu), fallbacks
 
 
-def _solve_direction(jac, rhs, linear_solver, precond):
-    """Newton direction solve; returns (direction, gmres iterations or None,
-    LU fallbacks)."""
-    if isinstance(linear_solver, KrylovConfig):
-        result = gmres(jac, rhs, linear_solver, precond=precond)
+def _solve_direction(jac, rhs, krylov, precond, report):
+    """Newton direction and GMRES iterations: GMRES on a callable jac, else the
+    guarded sparse LU (iterations None), its fallback counted in report."""
+    if callable(jac):
+        result = gmres(jac, rhs, krylov, precond=precond)
         if not result.converged:
             raise LinearSolveError(
                 f"GMRES stalled at residual {result.residual:.3e} "
                 f"after {result.iters} iterations")
-        return result.x, result.iters, 0
-    if linear_solver == "direct":
-        try:
-            lu, fallbacks = sparse_lu(jac, spla.splu)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-        return lu.solve(rhs), None, fallbacks
-    raise ValueError(f"unknown linear solver {linear_solver!r}")
+        return result.x, result.iters
+    try:
+        lu, fallbacks = sparse_lu(jac, spla.splu)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+    report.lu_fallbacks += fallbacks
+    return lu.solve(rhs), None
 
 
-def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builder=None):
+def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builder=None,
+                        report=None):
     """Damped Newton on F_eps with the eps-continuation schedule.
 
-    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (direct
-    mode) or callable v -> J v (GMRES); precond_builder(x, eps) -> left
-    preconditioner callable, rebuilt every outer iteration.  Stopping threshold is
-    max(tol, tol * ||F_eps0(x0)||), frozen at the initial residual.  While eps
-    stays put the accepted line-search trial's residual is the next residual;
-    a new eps needs one more evaluation.  A SolverFault ends the solve as a
-    failed report that keeps the iterate and history reached (x0 and an empty
-    history if the initial evaluation fails).
+    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU)
+    or callable v -> J v (GMRES); precond_builder(x, eps) -> left
+    preconditioner callable, rebuilt every outer iteration.  The solve fills
+    report (a new SolveReport by default), to which callbacks may add counts.
+    Stopping threshold is max(tol, tol * ||F_eps0(x0)||), frozen at the
+    initial residual.  While eps stays put the accepted line-search trial's
+    residual is the next residual; a new eps needs one more evaluation.  A
+    SolverFault ends the solve as a failed report that keeps the iterate and
+    history reached (x0 and an empty history if the initial evaluation fails).
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float, copy=True)
     eps = sched.eps0
-    report = SolveReport(False, 0)
+    report = report if report is not None else SolveReport()
     try:
         r = residual_fn(x, eps)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,12 +210,10 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
                 break
             jac = jacobian_fn(x, eps)
             precond = precond_builder(x, eps) if precond_builder is not None else None
-            d, lin_iters, fallbacks = _solve_direction(jac, -r, cfg.linear_solver,
-                                                       precond)
+            d, lin_iters = _solve_direction(jac, -r, cfg.linear_solver, precond, report)
             # this step's Jacobian and preconditioner factors go before the
             # line search and the next step make their own
             del jac, precond
-            report.lu_fallbacks += fallbacks
             alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma,
                                  MAX_HALVINGS, nrm)
             nrm = float(np.linalg.norm(r))

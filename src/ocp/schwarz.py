@@ -37,8 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .newton import (ContinuationSchedule, NewtonConfig, SolverFault,
-                     newton_continuation, sparse_lu)
+from .newton import (ContinuationSchedule, NewtonConfig, SolveReport,
+                     SolverFault, newton_continuation, sparse_lu)
 from .system import PairPattern, pair_jacobian, residual_rows, split_pair
 
 
@@ -188,10 +188,11 @@ def _local_problem(loc, spec, x):
     return local_residual, local_jacobian
 
 
-def _factor_local(i, jac_loc):
-    """LU of subdomain i's local block Jacobian and the LU's fallback count."""
+def _factor_at(i, loc, v, spec, eps):
+    """(Jacobian, LU, LU fallbacks) of subdomain i at v, assembled right before the LU."""
+    jac_loc = pair_jacobian(loc.pattern, *split_pair(v), spec, eps)
     try:
-        return sparse_lu(jac_loc, spla.splu)
+        return jac_loc, *sparse_lu(jac_loc, spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
 
@@ -202,9 +203,9 @@ def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
     v, report = newton_continuation(x[sub.pair_idx], res, jac, sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
-    jac_loc = jac(v, eps)
-    lu, fallbacks = _factor_local(i, jac_loc)
-    return v, report.outer_iters, jac_loc, lu, report.lu_fallbacks + fallbacks
+    jac_loc, lu, fallbacks = _factor_at(i, loc, v, spec, eps)
+    report.lu_fallbacks += fallbacks
+    return v, jac_loc, lu, report
 
 
 def usable_cpus():
@@ -274,23 +275,17 @@ def _scatter_own(dec, values):
     return out
 
 
-def ras_preconditioner(x, dec, spec, eps, systems, lu_fallbacks, lanes):
+def ras_preconditioner(x, dec, spec, eps, systems, report, lanes):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
-    Subdomain i's local Jacobian is assembled and factored on its lane.  The
-    number of local factors that needed the pivoted fallback is appended to
-    the list lu_fallbacks.
+    Subdomain i's local Jacobian is assembled on its lane right before its
+    factor (assembling all blocks first let the allocator return the
+    factors' pages: 15x the page faults).  Local LU fallbacks go to report.
     """
-    def factor(i, sub, loc):
-        # each block right before its factor: assembling all blocks first let
-        # the allocator return the factors' pages, 15x the page faults
-        jac_loc = pair_jacobian(loc.pattern, *split_pair(x[sub.pair_idx]), spec, eps)
-        return _factor_local(i, jac_loc)
-
-    factors = lanes.map(factor, [(i, sub, loc) for i, (sub, loc)
-                                 in enumerate(zip(dec.subdomains, systems))])
-    lus = [lu for lu, _ in factors]
-    lu_fallbacks.append(sum(fallbacks for _, fallbacks in factors))
+    _, lus, fallbacks = zip(*lanes.map(_factor_at, [
+        (i, loc, x[sub.pair_idx], spec, eps)
+        for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]))
+    report.lu_fallbacks += sum(fallbacks)
 
     def apply(v):
         return _scatter_own(dec, (lu.solve(v[sub.pair_idx])
@@ -308,8 +303,7 @@ class CorrectionSet:
     values: list
     jac_locs: list
     lus: list
-    inner_iters: list
-    lu_fallbacks: int
+    reports: list  # each subdomain's local SolveReport, its factor counted
     systems: list = field(repr=False, default=None)
 
 
@@ -334,13 +328,13 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
 
     tasks = [(i, sub, loc, spec, x, eps, sched, cfg)
              for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
-    values, inner_iters, jac_locs, lus, fallbacks = (
+    values, jac_locs, lus, reports = (
         list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
 
     f_val = _scatter_own(dec, values) - x
     corrections = CorrectionSet(
         x=x.copy(), eps=eps, values=values, jac_locs=jac_locs, lus=lus,
-        inner_iters=inner_iters, lu_fallbacks=sum(fallbacks), systems=systems)
+        reports=reports, systems=systems)
     return f_val, corrections
 
 
@@ -378,30 +372,26 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, continuation, systems,
     drops the frozen factors of the last one, so one set is alive at a time.
     """
     inner_cfg = NewtonConfig(tol=inner_tol)
-    state = {"corr": None, "inner_hist": [], "lu_fallbacks": 0}
+    report = SolveReport()
+    state = {"corr": None}
 
     def residual_fn(x, eps):
         # the lanes drop the last factors on their own threads only if
         # they hold the last reference
         state["corr"] = None
         # only the first evaluation starts far from the local solutions
-        if continuation and not state["inner_hist"]:
-            inner_sched = ContinuationSchedule(sched.eps0, sched.gamma, eps)
-        else:
-            inner_sched = ContinuationSchedule.fixed(eps)
+        eps0 = sched.eps0 if continuation and not report.inner_iters else eps
+        inner_sched = ContinuationSchedule(eps0, sched.gamma, eps)
         f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
                                                inner_sched, systems, lanes)
-        state["inner_hist"].append(max(state["corr"].inner_iters))
-        state["lu_fallbacks"] += state["corr"].lu_fallbacks
+        report.inner_iters.append(max(r.outer_iters for r in state["corr"].reports))
+        report.lu_fallbacks += sum(r.lu_fallbacks for r in state["corr"].reports)
         return f_val
 
     def jacobian_fn(x, eps):
         corr = state["corr"]
         return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, corr)
 
-    x, report = newton_continuation(
+    return newton_continuation(
         x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(sched.eps_min),
-        replace(cfg, sigma=float("inf")))
-    report.inner_iters = state["inner_hist"]
-    report.lu_fallbacks += state["lu_fallbacks"]
-    return x, report
+        replace(cfg, sigma=float("inf")), report=report)

@@ -246,11 +246,11 @@ class TestRunSingle:
             attempts.append(matrix.shape)
             return Inaccurate(spla.splu(matrix, **kwargs))
 
-        def solve(splu):
+        def solve(splu, run_cfg=cfg):
             stand_in = SimpleNamespace(splu=splu)
             monkeypatch.setattr(newton, "spla", stand_in)
             monkeypatch.setattr(schwarz, "spla", stand_in)
-            return solve_single(cfg, spec)
+            return solve_single(run_cfg, spec)
 
         x_ref, report_ref, _ = solve(default_splu)
         assert report_ref.lu_fallbacks == 0
@@ -260,6 +260,13 @@ class TestRunSingle:
         assert report_to_dict({}, report, 1.0)["lu_fallbacks"] == len(attempts)
         np.testing.assert_array_equal(x, x_ref)
         assert np.linalg.norm(x - x_sym) <= 1e-10 * np.linalg.norm(x_sym)
+        # a run cut short by max_outer ends as a failed report that still
+        # counts every fallback made
+        attempts.clear()
+        _, cut, _ = solve(spoiled_splu, replace(cfg, max_outer=1))
+        assert not cut.converged and cut.outer_iters == 1
+        assert cut.lu_fallbacks == len(attempts) > 0
+        assert report_to_dict({}, cut, 1.0)["lu_fallbacks"] == len(attempts)
 
     def test_degenerate_schedule_has_constant_eps(self, tmp_path):
         cfg = mild_config(method="newton", eps0=1.0, eps_min=1.0)
@@ -526,6 +533,28 @@ class TestCli:
             assert main(["solve", *argv, "--out", str(tmp_path / "out")]) == 2
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+        # a non-finite number is a config error, not a solver failure
+        for flag, value in (("--nu", "nan"), ("--mu", "inf"), ("--kappa", "nan"),
+                            ("--sigma", "nan"), ("--tol", "nan")):
+            argv = ["solve", "--method", "newton-eps", "--n", "8", "--k-tilde", "1",
+                    flag, value, "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
+            assert "must be finite" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,match", [
+        (["rate", "--eps-list", "nan,1e-2"], "eps_list"),
+        (["rate", "--eps-list", "1e-2,1e-3", "--eps-ref", "nan"], "eps_ref"),
+        (["sparsity", "--eps-list", "0", "--mu-list", "1e-4"], "eps_list"),
+        (["sparsity", "--eps-list", "1e-2", "--mu-list", "-1"], "mu_list"),
+    ], ids=["rate-nan-eps", "rate-nan-eps-ref", "sparsity-zero-eps",
+            "sparsity-negative-mu"])
+    def test_study_config_error_writes_nothing(self, tmp_path, capsys, argv, match):
+        out = tmp_path / "out"
+        assert main([*argv, "--n", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert not out.exists()
 
     def test_solver_failure_exit_three(self, tmp_path):
         code = main(["solve", "--method", "newton", "--n", "12",

@@ -79,6 +79,14 @@ def test_happy_breakdown_on_eigenvector_rhs():
     assert np.allclose(result.x, b / 2.0, rtol=0, atol=1e-15)
 
 
+def test_singular_hessenberg_raises():
+    # A b = 0: the Krylov space is invariant after one step, but its
+    # Hessenberg column is zero, so no back substitution exists
+    a = np.diag([1.0, 0.0])
+    with pytest.raises(GmresBreakdownError, match="singular Hessenberg at iteration 1"):
+        gmres(matvec(a), np.array([0.0, 1.0]))
+
+
 def test_iteration_cap_reports_no_convergence():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((40, 40))

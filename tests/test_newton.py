@@ -11,8 +11,8 @@ import ocp.krylov as krylov
 from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
-                        NewtonConfig, Ordered, SolverFault, backtrack,
-                        newton_continuation, sparse_lu)
+                        NewtonConfig, Ordered, SolveReport, SolverFault,
+                        backtrack, newton_continuation, sparse_lu)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
@@ -313,6 +313,27 @@ def test_gmres_breakdown_ends_as_failed_report():
     np.testing.assert_array_equal(x, builds[1])
 
 
+def test_singular_gmres_operator_ends_as_breakdown():
+    # the GMRES breakdown ends the solve at its first direction; it must not
+    # pass a nonfinite direction on to the line search
+    a = np.diag([1.0, 0.0])
+    b = np.array([0.0, 1.0])
+    calls = []
+
+    def residual_fn(x, eps):
+        calls.append(x.copy())
+        return a @ x - b
+
+    x, report = newton_continuation(
+        np.zeros(2), residual_fn, lambda x, eps: lambda v: a @ v,
+        ContinuationSchedule.fixed(1.0), NewtonConfig(linear_solver=KrylovConfig()))
+    assert not report.converged
+    assert report.failure == "singular Hessenberg at iteration 1"
+    assert report.outer_iters == 0
+    assert len(calls) == 1
+    np.testing.assert_array_equal(x, np.zeros(2))
+
+
 @pytest.mark.parametrize("failing_call,steps", [(2, 0), (3, 1)])
 def test_fault_keeps_iterate_and_history(failing_call, steps):
     # call 1 is at x0, call 2 the accepted trial of step 1, which at a fixed
@@ -500,7 +521,7 @@ class TestSparseLU:
         with pytest.raises(LocalSolveError, match="singular") as info:
             with Lanes(2, len(dec)) as lanes:
                 ras_preconditioner(x, dec, spec, 1e-2, build_local_systems(dec, spec),
-                                   [], lanes)
+                                   SolveReport(), lanes)
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2)

@@ -16,7 +16,8 @@ import ocp.harness.experiments as experiments
 from ocp.harness.experiments import solve_single
 from ocp.krylov import KrylovConfig, gmres
 import ocp.newton as newton
-from ocp.newton import ContinuationSchedule, NewtonConfig, newton_continuation
+from ocp.newton import (ContinuationSchedule, NewtonConfig, SolveReport,
+                        newton_continuation)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
@@ -47,7 +48,7 @@ def ras(x, dec, spec, eps):
     """RAS preconditioner at x on freshly built local systems, built inline."""
     with Lanes(1, len(dec)) as lanes:
         return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec),
-                                  [], lanes)
+                                  SolveReport(), lanes)
 
 
 # the outer configuration of the RASPEN tests
@@ -392,8 +393,8 @@ class TestRasPreconditioner:
                 lambda z, e: jacobian_operator(z, spec, e),
                 ContinuationSchedule.fixed(1e-2),
                 NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
-                precond_builder=lambda z, e: ras_preconditioner(z, dec, spec, e,
-                                                                systems, [], lanes))
+                precond_builder=lambda z, e: ras_preconditioner(
+                    z, dec, spec, e, systems, SolveReport(), lanes))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
         assert np.abs(x - x_sol).max() <= 1e-8 * max(1.0, np.abs(x_sol).max())
