@@ -13,8 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-from ocp.harness import build_config, run_single
-from ocp.harness.config import parse_subdomains
+from ocp.harness.config import build_config, parse_subdomains
+from ocp.harness.experiments import run_single
 
 REFERENCE = {"newton-ras": 40, "newton-ras-eps": 23}
 BAND = 3

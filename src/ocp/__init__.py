@@ -7,7 +7,3 @@ through the nonlinearly preconditioned one-level RASPEN iteration.
 """
 
 __version__ = "0.1.0"
-
-from .grid import Grid, NonfiniteFieldError, build_laplacian
-from .newton import ContinuationSchedule, NewtonConfig, SolveReport, newton_continuation
-from .krylov import KrylovConfig, gmres

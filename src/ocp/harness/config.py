@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError("need eps0 >= eps_min > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
+        if self.uses_continuation and self.gamma == 1.0 and self.eps0 > self.eps_min:
+            raise ConfigError("gamma = 1 never decays eps0 to eps_min")
         if self.tol <= 0 or self.inner_tol <= 0 or self.gmres_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.sigma < 1.0:
@@ -147,9 +149,3 @@ def build_config(file_values=None, overrides=None):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**merged)
-
-
-def config_to_dict(cfg):
-    """JSON-friendly echo of every config field for report emission."""
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-

@@ -7,7 +7,7 @@ reported but never asserted anywhere, iteration counts are the quantities
 of interest.
 """
 
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from ..schwarz import (Lanes, build_local_systems, decompose,
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
-from .config import config_to_dict
 from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
                       history_rows, report_to_dict, write_csv,
                       write_report_json)
@@ -76,7 +75,7 @@ def solve_single(cfg, spec=None):
     with Lanes(cfg.threads, len(dec)) as lanes:
         if cfg.is_raspen:
             x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, cfg.inner_tol,
-                                     cfg.uses_continuation, systems, lanes)
+                                     systems, lanes)
         else:
             report = SolveReport()
             x, _ = newton_continuation(
@@ -112,7 +111,7 @@ def run_single(cfg, out_dir):
         y, p = split_pair(x)
         u = recover_control(p, spec, cfg.eps_min)
 
-    data = report_to_dict(config_to_dict(cfg), report,
+    data = report_to_dict(asdict(cfg), report,
                           sparsity_fraction=sparsity_fraction(u))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,9 +205,10 @@ def table_cells(table_id, base):
 
 def run_table(table_id, base_cfg, out_dir):
     """All cells of one table; per-cell failures land in rows, not exceptions."""
+    cells = table_cells(table_id, base_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [_run_cell(cfg) for cfg in table_cells(table_id, base_cfg)]
+    rows = [_run_cell(cfg) for cfg in cells]
     write_csv(out / f"table_{table_id}.csv", BENCHMARK_COLUMNS, map(astuple, rows))
     code = 0 if all(row.converged for row in rows) else 4
     return code, rows
@@ -252,9 +252,9 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
         raise ValueError("eps_ref must lie below every eps in the study")
     if len(set(eps_list)) < 2:
         raise ValueError("the rate fit needs at least two distinct eps values")
+    grid = Grid(n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(n)
     rows, slope, failure = [], None, None
     try:
         spec, _ = construct_plateau_problem(grid, kappa=kappa, nu=nu, mu=mu)
@@ -286,9 +286,9 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
     """Sparsity fraction of the recovered control over a (mu, eps) grid; a
     SolverFault still writes the cells completed before it, then propagates."""
     _check_study(kappa, mu_list=mu_list, eps_list=eps_list, nu=nu, tol=tol)
+    grid = Grid(n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = Grid(n)
     rows = []
     try:
         for mu in mu_list:

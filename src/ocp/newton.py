@@ -44,6 +44,8 @@ class ContinuationSchedule:
             raise ValueError("need eps0 >= eps_min > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
+        if self.gamma == 1.0 and self.eps0 > self.eps_min:
+            raise ValueError("gamma = 1 never decays eps0 to eps_min")
 
     @classmethod
     def fixed(cls, eps):
@@ -93,7 +95,7 @@ class SolveReport:
         return sum(self.inner_iters) / len(self.inner_iters) if self.inner_iters else None
 
 
-def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm):
+def backtrack(x, d, residual_fn, sigma, current_norm):
     """Largest alpha in {1, 1/2, 1/4, ...} with ||F(x + alpha d)|| <= sigma ||F(x)||.
 
     current_norm is ||F(x)||, which the caller already holds.  Returns alpha
@@ -102,7 +104,7 @@ def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm):
     of aborting or warning.
     """
     alpha = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         r_trial = residual_fn(x + alpha * d)
         with np.errstate(over="ignore", invalid="ignore"):
             trial = float(np.linalg.norm(r_trial))
@@ -110,7 +112,7 @@ def backtrack(x, d, residual_fn, sigma, max_halvings, current_norm):
             return alpha, r_trial
         alpha *= 0.5
     raise LineSearchError(
-        f"no admissible step within {max_halvings} halvings "
+        f"no admissible step within {MAX_HALVINGS} halvings "
         f"(residual {current_norm:.3e})")
 
 
@@ -214,8 +216,7 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
             # this step's Jacobian and preconditioner factors go before the
             # line search and the next step make their own
             del jac, precond
-            alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma,
-                                 MAX_HALVINGS, nrm)
+            alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma, nrm)
             nrm = float(np.linalg.norm(r))
             x_next = x + alpha * d
             eps_next = sched.next_eps(eps)

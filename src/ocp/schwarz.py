@@ -65,10 +65,6 @@ class Subdomain:
     pair_own: np.ndarray
     pair_own_in_local: np.ndarray
 
-    @property
-    def size(self):
-        return self.idx.shape[0]
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -147,24 +143,15 @@ class LocalSystem:
 
 
 def build_local_systems(dec, spec):
-    n2 = dec.grid.size
-    in_local = np.zeros(n2, dtype=bool)
+    outside = np.ones(dec.grid.size)
     systems = []
     for sub in dec.subdomains:
-        in_local[sub.idx] = True
-        rows = spec.a[sub.idx, :].tocoo()
-        mask = in_local[rows.col]
-        size = sub.size
-        a_loc = sp.coo_matrix(
-            (rows.data[mask],
-             (rows.row[mask], np.searchsorted(sub.idx, rows.col[mask]))),
-            shape=(size, size)).tocsr()
-        a_ext = sp.coo_matrix(
-            (rows.data[~mask], (rows.row[~mask], rows.col[~mask])),
-            shape=(size, n2)).tocsr()
-        systems.append(LocalSystem(a_loc=a_loc, a_ext=a_ext,
+        rows = spec.a[sub.idx]
+        outside[sub.idx] = 0.0
+        a_ext = (rows @ sp.diags(outside)).sorted_indices()
+        outside[sub.idx] = 1.0
+        systems.append(LocalSystem(a_loc=rows[:, sub.idx], a_ext=a_ext,
                                    f_loc=spec.f[sub.idx], yd_loc=spec.y_d[sub.idx]))
-        in_local[sub.idx] = False
     return systems
 
 
@@ -178,8 +165,7 @@ def _local_problem(loc, spec, x):
     def local_residual(v, eps):
         y, p = v[:size], v[size:]
         r1, r2 = residual_rows(loc.a_loc @ y + e_y, loc.a_loc @ p + e_p, y, p,
-                               loc.f_loc, loc.yd_loc, spec.phi, spec.nu,
-                               spec.mu, eps)
+                               loc.f_loc, loc.yd_loc, spec, eps)
         return np.concatenate([r1, r2])
 
     def local_jacobian(v, eps):
@@ -307,7 +293,7 @@ class CorrectionSet:
     systems: list = field(repr=False, default=None)
 
 
-def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
+def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
                     systems=None, lanes=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
@@ -323,10 +309,9 @@ def raspen_residual(x, dec, spec, eps, inner_cfg=None, inner_sched=None,
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     lanes = lanes if lanes is not None else Lanes(1, len(dec))
-    cfg = inner_cfg if inner_cfg is not None else NewtonConfig(tol=1e-8)
     sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
 
-    tasks = [(i, sub, loc, spec, x, eps, sched, cfg)
+    tasks = [(i, sub, loc, spec, x, eps, sched, inner_cfg)
              for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
     values, jac_locs, lus, reports = (
         list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
@@ -359,14 +344,14 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     return -_scatter_own(dec, solves)
 
 
-def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, continuation, systems,
-                 lanes):
+def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
     """Outer Newton on the fixed-point residual at eps_min, full steps.
 
-    cfg.linear_solver is the outer GMRES's KrylovConfig.  The
-    eps-continuation schedule applies only inside the first evaluation's
-    subdomain solves (the only ones that start far from their solutions);
-    every later evaluation solves the local systems directly at eps_min.
+    cfg.linear_solver is the outer GMRES's KrylovConfig.  The inner schedule
+    comes from sched alone: the first evaluation's subdomain solves (the
+    only ones that start far from their solutions) walk sched.eps0 ->
+    eps_min, and every later evaluation solves them directly at eps_min, so
+    a fixed sched gives no continuation.
     The outer line search accepts every step (sigma = inf).  Every
     evaluation maps its subdomain solves through lanes, whose next map
     drops the frozen factors of the last one, so one set is alive at a time.
@@ -380,7 +365,7 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, continuation, systems,
         # they hold the last reference
         state["corr"] = None
         # only the first evaluation starts far from the local solutions
-        eps0 = sched.eps0 if continuation and not report.inner_iters else eps
+        eps0 = eps if report.inner_iters else sched.eps0
         inner_sched = ContinuationSchedule(eps0, sched.gamma, eps)
         f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
                                                inner_sched, systems, lanes)

@@ -44,12 +44,12 @@ def smoothed_projection_derivative(x, eps):
                   - (x - 1.0) / np.sqrt((x - 1.0) ** 2 + eps))
 
 
-def penalty_derivative(x, eps, ratio, tol=1e-13, max_sweeps=100):
+def penalty_derivative(x, eps, ratio, tol=1e-13):
     """Solve d = P_eps(d + ratio*x) for d in [-1, 1].
 
-    Fixed-point iteration with Aitken extrapolation; the map is a contraction
-    with factor 1/sqrt(1+eps), which nears 1 for small eps, so an unconditional
-    bisection fallback on g(d) = d - P_eps(d + ratio*x) covers that regime
+    At most 100 sweeps of fixed-point iteration with Aitken extrapolation; the
+    map contracts by 1/sqrt(1+eps), which nears 1 for small eps, so a final
+    bisection on g(d) = d - P_eps(d + ratio*x) covers that regime
     (g is strictly increasing with 0 < g' <= 1 and changes sign on [-1, 1],
     hence |g(midpoint)| is bounded by the interval width).
     """
@@ -65,7 +65,7 @@ def penalty_derivative(x, eps, ratio, tol=1e-13, max_sweeps=100):
         return float(smoothed_projection(d + shift, eps))
 
     d = 0.0
-    for _ in range(max_sweeps):
+    for _ in range(100):
         d1 = step(d)
         d2 = step(d1)
         denom = d2 - 2.0 * d1 + d

@@ -109,30 +109,30 @@ def split_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[:n2], x[n2:]
 
 
-def residual_rows(ay, ap, y, p, f, y_d, phi, nu, mu, eps):
+def residual_rows(ay, ap, y, p, f, y_d, spec, eps):
     """Residual rows given precomputed operator actions ay = A y, ap = A p.
 
     Factored out so local subdomain systems can reuse the exact formulas
     with their own operator actions and boundary couplings folded into
-    ay and ap.
+    ay and ap, and their own data f and y_d; spec gives phi, nu and mu.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        control_term = (p + mu * smoothed_projection(-p / mu, eps)) / nu
-        r1 = ay + phi.value(y) - f + control_term
-        r2 = ap + phi.derivative(y) * p - y + y_d
+        control_term = (p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
+        r1 = ay + spec.phi.value(y) - f + control_term
+        r2 = ap + spec.phi.derivative(y) * p - y + y_d
     return r1, r2
 
 
-def jacobian_diagonals(y, p, phi, nu, mu, eps):
+def jacobian_diagonals(y, p, spec, eps):
     """Diagonal entries of the three non-operator Jacobian blocks.
 
     Returns (dphi_y, b12, b21) where the Jacobian is
     [[A + diag(dphi_y), diag(b12)], [diag(b21), A + diag(dphi_y)]].
     An overflow in phi' or phi'' raises NonfiniteFieldError.
     """
-    dphi_y = _checked(phi, y, phi.derivative(y), "phi'(y)")
-    b12 = (1.0 - smoothed_projection_derivative(-p / mu, eps)) / nu
-    b21 = _checked(phi, y, phi.second_derivative(y), "phi''(y)") * p - 1.0
+    dphi_y = _checked(spec.phi, y, spec.phi.derivative(y), "phi'(y)")
+    b12 = (1.0 - smoothed_projection_derivative(-p / spec.mu, eps)) / spec.nu
+    b21 = _checked(spec.phi, y, spec.phi.second_derivative(y), "phi''(y)") * p - 1.0
     return dphi_y, b12, b21
 
 
@@ -142,7 +142,7 @@ def residual(x: np.ndarray, spec: ProblemSpec, eps: float,
     rejects such trials; check=True raises NonfiniteFieldError instead."""
     y, p = split_pair(x)
     out = merge_pair(*residual_rows(spec.a @ y, spec.a @ p, y, p, spec.f,
-                                    spec.y_d, spec.phi, spec.nu, spec.mu, eps))
+                                    spec.y_d, spec, eps))
     return check_finite(out, "residual") if check else out
 
 
@@ -181,7 +181,7 @@ def pair_jacobian(pattern, y: np.ndarray, p: np.ndarray, spec: ProblemSpec,
     diagonals written into their slots.  The global system (spec.pattern)
     and each local subdomain system (its own pattern) share this assembly.
     """
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
     jac = pattern.template.copy()
     a11 = pattern.a_diag + dphi_y
     jac.data[pattern.diag_slots] = np.concatenate([a11, a11, b12, b21])
@@ -194,7 +194,7 @@ def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> Ordered:
 
 def jacobian_operator(x: np.ndarray, spec: ProblemSpec, eps: float):
     """d -> F_eps'(x) d without assembly; the diagonals are checked once, here."""
-    dphi_y, b12, b21 = jacobian_diagonals(*split_pair(x), spec.phi, spec.nu, spec.mu, eps)
+    dphi_y, b12, b21 = jacobian_diagonals(*split_pair(x), spec, eps)
 
     def apply(d):
         dy, dp = split_pair(d)

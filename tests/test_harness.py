@@ -1,7 +1,7 @@
 """Configuration, artifact round trips, table protocols, and CLI exit codes."""
 
 import json
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +12,7 @@ from ocp.grid import Grid, NonfiniteFieldError
 from ocp.harness.cli import _config_from_args, build_parser, main
 from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
                                 ExperimentConfig, build_config,
-                                config_to_dict, load_config_file,
-                                parse_subdomains)
+                                load_config_file, parse_subdomains)
 import ocp.harness.experiments as experiments
 from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
@@ -91,7 +90,7 @@ class TestConfig:
             args = build_parser().parse_args(["solve", *argv])
             assert _config_from_args(args) == cfg, f.name
 
-            assert config_to_dict(cfg)[f.name] == value
+            assert asdict(cfg)[f.name] == value
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -198,7 +197,7 @@ class TestRunSingle:
         on_disk = read_report_json(tmp_path / "report.json")
         assert on_disk == data
         assert on_disk["schema"] == 1
-        assert on_disk["config"] == config_to_dict(cfg)
+        assert on_disk["config"] == asdict(cfg)
         assert on_disk["eps_history"][-1] == cfg.eps_min
         assert on_disk["lu_fallbacks"] == 0
 
@@ -541,17 +540,35 @@ class TestCli:
             assert main(argv) == 2
             assert "must be finite" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+        # gamma = 1 never takes a continuation method's eps0 to eps_min; a
+        # plain base config lets the table find it in its newton-eps cells
+        gamma_one = ["--n", "8", "--k-tilde", "1", "--gamma", "1"]
+        for argv in (["solve", "--method", "newton-eps", "--eps0", "1",
+                      "--eps-min", "1e-5", "--max-outer", "40", *gamma_one],
+                     ["solve", "--method", "raspen-eps", "--subdomains", "2x2",
+                      "--eps0", "1", "--eps-min", "1e-5", *gamma_one],
+                     ["table", "mono", *gamma_one],
+                     ["table", "mono", "--method", "newton", *gamma_one]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+            assert "gamma = 1 never decays eps0" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,match", [
         (["rate", "--eps-list", "nan,1e-2"], "eps_list"),
         (["rate", "--eps-list", "1e-2,1e-3", "--eps-ref", "nan"], "eps_ref"),
         (["sparsity", "--eps-list", "0", "--mu-list", "1e-4"], "eps_list"),
         (["sparsity", "--eps-list", "1e-2", "--mu-list", "-1"], "mu_list"),
+        (["rate", "--n", "0"], "interior point"),
+        (["sparsity", "--n", "0"], "interior point"),
+        (["rate", "--eps-list", "1e-2,abc"], "bad numeric list"),
+        (["sparsity", "--eps-list", ","], "empty numeric list"),
     ], ids=["rate-nan-eps", "rate-nan-eps-ref", "sparsity-zero-eps",
-            "sparsity-negative-mu"])
+            "sparsity-negative-mu", "rate-zero-n", "sparsity-zero-n",
+            "rate-bad-eps-list", "sparsity-empty-eps-list"])
     def test_study_config_error_writes_nothing(self, tmp_path, capsys, argv, match):
         out = tmp_path / "out"
-        assert main([*argv, "--n", "8", "--out", str(out)]) == 2
+        # an --n in argv comes later, so it overrides the 8
+        assert main([argv[0], "--n", "8", *argv[1:], "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and match in err
         assert not out.exists()
@@ -636,6 +653,17 @@ class TestCli:
                      "--k-tilde", "2", "--max-outer", "2",
                      "--out", str(tmp_path / "partial")])
         assert code == 4
+
+    def test_table_cell_setup_failure_becomes_row(self, tmp_path):
+        code = main(["table", "mono", "--n", "8", "--k-tilde", "1",
+                     "--mu", "1e300", "--out", str(tmp_path)])
+        assert code == 4
+        rows = read_benchmark_csv(tmp_path / "table_mono.csv")
+        assert len(rows) == 12
+        for row in rows:
+            assert not row.converged and row.outer_iters == 0
+            assert row.failure == ("state solve failed: nonfinite residual "
+                                   "at the initial guess")
 
     def test_rate_subcommand(self, tmp_path, capsys):
         code = main(["rate", "--n", "12", "--eps-list", "1e-1,1e-2",

@@ -29,6 +29,8 @@ def test_schedule_validation():
         ContinuationSchedule(gamma=1.5)
     with pytest.raises(ValueError):
         ContinuationSchedule(eps_min=0.0)
+    with pytest.raises(ValueError, match="gamma = 1"):
+        ContinuationSchedule(eps0=1.0, gamma=1.0, eps_min=1e-5)
 
 
 def test_fixed_schedule_is_constant():
@@ -99,7 +101,7 @@ def test_no_early_convergence_above_eps_floor():
 def test_backtrack_halves_until_acceptable():
     table = {0.0: 1.0, 1.0: 2.2, 0.5: 0.99}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30, 1.0)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 1.0)
     assert alpha == 0.5
     np.testing.assert_array_equal(r_trial, [0.99])
 
@@ -107,7 +109,7 @@ def test_backtrack_halves_until_acceptable():
 def test_backtrack_accepts_growth_under_loose_sigma():
     table = {0.0: 1.0, 1.0: 2.2}
     residual = lambda z: np.array([table[float(z[0])]])
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 30, 1.0)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1e9, 1.0)
     assert alpha == 1.0
     np.testing.assert_array_equal(r_trial, [2.2])
 
@@ -117,15 +119,15 @@ def test_backtrack_rejects_nonfinite_trials():
         v = float(z[0])
         return np.array([np.inf if v > 0.3 else 0.5])
 
-    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 30, 1.0)
+    alpha, r_trial = backtrack(np.zeros(1), np.ones(1), residual, 1.1, 1.0)
     assert alpha == 0.25
     np.testing.assert_array_equal(r_trial, [0.5])
 
 
 def test_backtrack_exhausts_budget():
     residual = lambda z: np.array([np.nan if float(z[0]) != 0.0 else 1.0])
-    with pytest.raises(LineSearchError):
-        backtrack(np.zeros(1), np.ones(1), residual, 1.1, 3, 1.0)
+    with pytest.raises(LineSearchError, match="within 30 halvings"):
+        backtrack(np.zeros(1), np.ones(1), residual, 1.1, 1.0)
 
 
 def test_damping_engages_on_arctan():
@@ -334,6 +336,21 @@ def test_singular_gmres_operator_ends_as_breakdown():
     np.testing.assert_array_equal(x, np.zeros(2))
 
 
+def test_stalled_gmres_ends_as_failed_report():
+    # three distinct eigenvalues need three GMRES iterations; one is allowed
+    a = np.diag([1.0, 2.0, 3.0])
+    b = np.ones(3)
+    x, report = newton_continuation(
+        np.zeros(3), lambda x, eps: a @ x - b, lambda x, eps: lambda v: a @ v,
+        ContinuationSchedule.fixed(1.0),
+        NewtonConfig(linear_solver=KrylovConfig(max_iters=1)))
+    assert not report.converged
+    assert report.failure.startswith("GMRES stalled at residual")
+    assert report.failure.endswith("after 1 iterations")
+    assert report.outer_iters == 0
+    np.testing.assert_array_equal(x, np.zeros(3))
+
+
 @pytest.mark.parametrize("failing_call,steps", [(2, 0), (3, 1)])
 def test_fault_keeps_iterate_and_history(failing_call, steps):
     # call 1 is at x0, call 2 the accepted trial of step 1, which at a fixed
@@ -370,7 +387,7 @@ def test_stiff_block_solves_without_warnings(mu):
 
 def block_jacobian(a, y, p, spec, eps):
     """Reference assembly of the pair Jacobian, block by block in natural order."""
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
     a11 = a + sp.diags(dphi_y)
     return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csc")
 
@@ -506,7 +523,7 @@ class TestSparseLU:
         grid = Grid(11)
         spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=2)
         dec = decompose(grid, 1, 3, 1)
-        bad_size = dec.subdomains[bad].size
+        bad_size = dec.subdomains[bad].idx.size
 
         def singular_pair_jacobian(pattern, y, p, spec, eps):
             jac = pair_jacobian(pattern, y, p, spec, eps)
@@ -524,5 +541,5 @@ class TestSparseLU:
                                    SolveReport(), lanes)
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
-            raspen_residual(x, dec, spec, 1e-2)
+            raspen_residual(x, dec, spec, 1e-2, NewtonConfig(tol=1e-8))
         assert info.value.subdomain == bad

@@ -53,11 +53,13 @@ def ras(x, dec, spec, eps):
 
 # the outer configuration of the RASPEN tests
 RASPEN_CFG = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-8, max_iters=400))
+# the local solves' configuration at raspen_solve's inner_tol of 1e-8
+INNER_CFG = NewtonConfig(tol=1e-8)
 
 
-def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0, continuation=True):
+def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0):
     with Lanes(threads, len(dec)) as lanes:
-        return raspen_solve(x0, dec, spec, sched, cfg, 1e-8, continuation,
+        return raspen_solve(x0, dec, spec, sched, cfg, 1e-8,
                             build_local_systems(dec, spec), lanes)
 
 
@@ -80,7 +82,7 @@ def rect(idx, n):
 
 def block_jacobian(a, y, p, spec, eps):
     """Reference assembly of the pair Jacobian, block by block in natural order."""
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec.phi, spec.nu, spec.mu, eps)
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
     a11 = a + sp.diags(dphi_y)
     return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
 
@@ -182,7 +184,7 @@ class TestDecompose:
         dec = decompose(Grid(8), 2, 2, 0)
         assert len(dec) == 4
         for sub in dec.subdomains:
-            assert sub.size == 16
+            assert sub.idx.size == 16
             np.testing.assert_array_equal(sub.pair_idx, sub.pair_own)
             np.testing.assert_array_equal(sub.pair_own_in_local, np.arange(32))
 
@@ -191,7 +193,7 @@ class TestDecompose:
         sub = dec.subdomains[0]
         assert rect(sub.idx, 8) == ((0, 6), (0, 6))
         assert rect(owned(sub), 8) == ((0, 4), (0, 4))
-        assert sub.size == 36 and owned(sub).size == 16
+        assert sub.idx.size == 36 and owned(sub).size == 16
         # flat indices walk the 6x6 corner rectangle row by row
         assert sub.idx[0] == 0 and sub.idx[5] == 5 and sub.idx[6] == 8
         np.testing.assert_array_equal(sub.pair_idx[sub.pair_own_in_local], sub.pair_own)
@@ -207,8 +209,8 @@ class TestDecompose:
         dec = decompose(Grid(9), 2, 3, 1)
         n2 = 81
         for sub in dec.subdomains:
-            np.testing.assert_array_equal(sub.pair_idx[:sub.size], sub.idx)
-            np.testing.assert_array_equal(sub.pair_idx[sub.size:], sub.idx + n2)
+            np.testing.assert_array_equal(sub.pair_idx[:sub.idx.size], sub.idx)
+            np.testing.assert_array_equal(sub.pair_idx[sub.idx.size:], sub.idx + n2)
             np.testing.assert_array_equal(
                 sub.pair_idx[sub.pair_own_in_local], sub.pair_own)
 
@@ -251,8 +253,8 @@ class TestLocalSystems:
         dec = decompose(grid, 2, 2, 2)
         for sub, loc in zip(dec.subdomains, build_local_systems(dec, spec)):
             assert loc.a_ext[:, sub.idx].nnz == 0
-            assert loc.a_loc.shape == (sub.size, sub.size)
-            assert loc.a_ext.shape == (sub.size, grid.size)
+            assert loc.a_loc.shape == (sub.idx.size, sub.idx.size)
+            assert loc.a_ext.shape == (sub.idx.size, grid.size)
             np.testing.assert_array_equal(loc.f_loc, spec.f[sub.idx])
             np.testing.assert_array_equal(loc.yd_loc, spec.y_d[sub.idx])
 
@@ -418,7 +420,7 @@ class TestLocalCorrection:
         systems = build_local_systems(dec, spec)
         rng = np.random.default_rng(21)
         x = x_sol + 0.5 * rng.standard_normal(x_sol.shape)
-        _, corr = raspen_residual(x, dec, spec, 1e-2, systems=systems)
+        _, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG, systems=systems)
         for i, sub in enumerate(dec.subdomains):
             res, _ = _local_problem(systems[i], spec, x)
             before = np.linalg.norm(res(x[sub.pair_idx], 1e-2))
@@ -439,7 +441,8 @@ class TestLocalCorrection:
         err0 = np.abs(x - x_sol).max()
         errs = []
         for _ in range(60):
-            f_val, _ = raspen_residual(x, dec, spec, 1e-2, systems=systems)
+            f_val, _ = raspen_residual(x, dec, spec, 1e-2, INNER_CFG,
+                                       systems=systems)
             x = f_val + x
             errs.append(np.abs(x - x_sol).max())
             if errs[-1] <= 1e-8 * err0:
@@ -455,7 +458,7 @@ class TestLocalFactorFailure:
     def failing_splu(self, monkeypatch):
         grid, spec = mild_problem(11)
         dec = decompose(grid, 1, 3, 1)
-        sizes = [2 * sub.size for sub in dec.subdomains]
+        sizes = [2 * sub.idx.size for sub in dec.subdomains]
         assert len(set(sizes)) == 3
 
         def patch(bad):
@@ -504,7 +507,7 @@ class TestLocalFactorFailure:
         patch(bad)
         with Lanes(threads, len(dec)) as lanes:
             with pytest.raises(LocalSolveError, match="singular") as info:
-                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
+                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2, INNER_CFG,
                                 lanes=lanes)
         # the other subdomains' frozen factors stayed on their lanes until
         # the close, which dropped them there
@@ -520,7 +523,7 @@ class TestLocalFactorFailure:
         # subdomains 1 and 2 fail on different lanes; 1 comes first in order
         with Lanes(2, len(dec)) as lanes:
             with pytest.raises(LocalSolveError) as info:
-                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2,
+                raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2, INNER_CFG,
                                 lanes=lanes)
         assert_freed_where_made(factor_log)
         assert info.value.subdomain == 1
@@ -549,7 +552,7 @@ class TestLocalFactorFailure:
 class TestRaspen:
     def test_residual_vanishes_at_solution(self, mild16):
         grid, spec, dec, x_sol = mild16
-        f_val, corr = raspen_residual(x_sol, dec, spec, 1e-2)
+        f_val, corr = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG)
         assert np.abs(f_val).max() <= 1e-8
         assert len(corr.values) == 4
 
@@ -557,7 +560,7 @@ class TestRaspen:
         grid, spec, dec, x_sol = mild16
         rng = np.random.default_rng(31)
         x = x_sol + 0.3 * rng.standard_normal(x_sol.shape)
-        f_val, corr = raspen_residual(x, dec, spec, 1e-2)
+        f_val, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG)
         scatter = np.zeros_like(x)
         for sub, v in zip(dec.subdomains, corr.values):
             scatter[sub.pair_own] = (v - x[sub.pair_idx])[sub.pair_own_in_local]
@@ -605,7 +608,7 @@ class TestRaspen:
 
     def test_stale_corrections_rejected(self, mild16):
         grid, spec, dec, x_sol = mild16
-        _, corr = raspen_residual(x_sol, dec, spec, 1e-2)
+        _, corr = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG)
         with pytest.raises(RuntimeError, match="stale"):
             raspen_jacobian_apply(x_sol + 1.0, np.ones_like(x_sol), dec, spec,
                                   1e-2, corr)
@@ -632,8 +635,8 @@ class TestRaspen:
         grid, spec, dec, _ = mild16
         sched = ContinuationSchedule(1.0, 0.2, 1e-3)
         x0 = np.zeros(2 * grid.size)
-        x_c, rep_c = raspen(x0, dec, spec, sched, continuation=True)
-        x_p, rep_p = raspen(x0, dec, spec, sched, continuation=False)
+        x_c, rep_c = raspen(x0, dec, spec, sched)
+        x_p, rep_p = raspen(x0, dec, spec, ContinuationSchedule.fixed(1e-3))
         assert rep_c.converged and rep_p.converged
         scale = max(1.0, np.abs(x_c).max())
         assert np.abs(x_c - x_p).max() <= 1e-6 * scale
