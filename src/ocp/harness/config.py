@@ -9,10 +9,13 @@ other edit.
 
 from dataclasses import dataclass, fields
 import math
+import sys
 
 METHODS = ("newton", "newton-eps", "newton-ras", "newton-ras-eps",
            "raspen", "raspen-eps")
 LINEAR_SOLVERS = ("auto", "direct", "gmres")
+# machine epsilon: a residual test cannot rely on reaching a smaller tolerance
+MIN_TOL = sys.float_info.epsilon
 
 
 class ConfigError(ValueError):
@@ -65,6 +68,9 @@ class ExperimentConfig:
             raise ConfigError("gamma = 1 never decays eps0 to eps_min")
         if self.tol <= 0 or self.inner_tol <= 0 or self.gmres_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.tol < MIN_TOL or self.inner_tol < MIN_TOL:
+            raise ConfigError(f"tol and inner_tol must be at least machine "
+                              f"epsilon {MIN_TOL:.3g}")
         if self.sigma < 1.0:
             raise ConfigError("sigma must be at least 1")
         if self.nu <= 0 or self.mu <= 0:

@@ -14,13 +14,14 @@ import numpy as np
 
 from ..grid import Grid
 from ..krylov import KrylovConfig, SolverFault
-from ..newton import (ContinuationSchedule, NewtonConfig, SolveReport,
+from ..newton import (ContinuationSchedule, NewtonConfig, Refined, SolveReport,
                       newton_continuation)
 from ..schwarz import (Lanes, build_local_systems, decompose,
                        ras_preconditioner, raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
+from .config import MIN_TOL
 from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
                       history_rows, report_to_dict, write_csv,
                       write_report_json)
@@ -63,9 +64,11 @@ def solve_single(cfg, spec=None):
         tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
         linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters))
     residual_fn = lambda x, eps: residual(x, spec, eps)
-    # the Jacobian picks the direction solver: an assembled, ordered one is factored
+    # the Jacobian picks the direction solver: an assembled, ordered one is
+    # factored in single precision and refined, an operator goes to GMRES
     factored = not decomposed and cfg.linear_solver != "gmres"
-    jacobian_fn = lambda x, eps: (jacobian if factored else jacobian_operator)(x, spec, eps)
+    jacobian_fn = lambda x, eps: (Refined(jacobian(x, spec, eps)) if factored
+                                  else jacobian_operator(x, spec, eps))
     if not decomposed:
         return (*newton_continuation(x0, residual_fn, jacobian_fn, sched,
                                      newton_cfg), spec)
@@ -220,19 +223,22 @@ def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
     sched = ContinuationSchedule(max(eps0, eps), 0.2, eps)
     x, report = newton_continuation(
         x0, lambda z, e: residual(z, spec, e),
-        lambda z, e: jacobian(z, spec, e), sched, NewtonConfig(tol=tol))
+        lambda z, e: Refined(jacobian(z, spec, e)), sched, NewtonConfig(tol=tol))
     if not report.converged:
         raise SolverFault(f"study solve at eps={eps:g} failed: {report.failure}")
     return x
 
 
-def _check_study(kappa, **positive):
+def _check_study(kappa, tol, **positive):
     """Reject bad study parameters before any file is written."""
     for name, values in positive.items():
         if not all(0.0 < v < np.inf for v in np.atleast_1d(values)):
             raise ValueError(f"{name} must be positive and finite, got {values!r}")
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")
+    if not MIN_TOL <= tol < np.inf:
+        raise ValueError(f"tol must be finite and at least machine epsilon "
+                         f"{MIN_TOL:.3g}, got {tol!r}")
 
 
 def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
@@ -246,7 +252,7 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     least-squares line of log error against log eps.  A SolverFault still
     writes rate.json, with the failure and a null slope, then propagates.
     """
-    _check_study(kappa, eps_list=eps_list, eps_ref=eps_ref, nu=nu, mu=mu, tol=tol)
+    _check_study(kappa, tol, eps_list=eps_list, eps_ref=eps_ref, nu=nu, mu=mu)
     eps_list = sorted(eps_list, reverse=True)
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
@@ -285,7 +291,7 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
                    tol=1e-10, dump_fields=True):
     """Sparsity fraction of the recovered control over a (mu, eps) grid; a
     SolverFault still writes the cells completed before it, then propagates."""
-    _check_study(kappa, mu_list=mu_list, eps_list=eps_list, nu=nu, tol=tol)
+    _check_study(kappa, tol, mu_list=mu_list, eps_list=eps_list, nu=nu)
     grid = Grid(n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,11 @@ class LinearSolveError(SolverFault):
     """The Newton direction solve failed or did not converge."""
 
 
-# bound on the relative residual of the probe that accepts an unpivoted factor
+# bound on the relative residual of the probe that accepts an unpivoted factor,
+# and of the refinement that accepts a single-precision direction
 LU_PROBE_TOL = 1e-10
+# single-precision solves one refined direction may take
+MAX_REFINEMENTS = 10
 # halvings of the step length the line search may try before giving up
 MAX_HALVINGS = 30
 
@@ -135,14 +138,17 @@ class Ordered:
 def sparse_lu(jac, splu):
     """SuperLU factor of a sparse or Ordered jac; returns (factor, fallbacks).
 
-    The coupled Jacobians have a symmetric pattern, so the first try is
-    SuperLU's symmetric mode with diagonal pivots, which fills far less than
-    COLAMD with partial pivoting.  An Ordered matrix is factored as stored;
-    any other is ordered by minimum degree on the pattern of A^T + A.
-    Without pivoting the factor may be inaccurate, so it is kept only if it
-    solves jac z = jac @ ones to a relative residual of LU_PROBE_TOL.
-    Otherwise, or if that factorization raises, jac is refactored with
-    splu's defaults and fallbacks is 1; a singular jac raises from there.
+    It makes every double-precision Jacobian factor: the state solve's, the
+    local factors of RAS and RASPEN, and the fallback of a Refined direction
+    that refinement rejects.  The coupled Jacobians have a symmetric
+    pattern, so the first try is SuperLU's symmetric mode with diagonal
+    pivots, which fills far less than COLAMD with partial pivoting.  An
+    Ordered matrix is factored as stored; any other is ordered by minimum
+    degree on the pattern of A^T + A.  Without pivoting the factor may be
+    inaccurate, so it is kept only if it solves jac z = jac @ ones to a
+    relative residual of LU_PROBE_TOL.  Otherwise, or if that factorization
+    raises, jac is refactored with splu's defaults and fallbacks is 1; a
+    singular jac raises from there.
     """
     ordered = isinstance(jac, Ordered)
     matrix = jac.stored if ordered else jac.tocsc()
@@ -161,9 +167,54 @@ def sparse_lu(jac, splu):
     return (Ordered(lu, jac.order, jac.position) if ordered else lu), fallbacks
 
 
+@dataclass(frozen=True)
+class Refined:
+    """An Ordered Jacobian whose Newton direction comes from refined_solve."""
+
+    jac: Ordered
+
+
+def refined_solve(jac, rhs, splu):
+    """Solution of the Ordered jac d = rhs from a float32 factor, or None.
+
+    The stored matrix is factored in single precision like sparse_lu's first
+    try, and d is refined in double: d += LU32^-1 (rhs - jac d).  Refinement
+    stops once the relative residual no longer halves, or after
+    MAX_REFINEMENTS solves, and keeps the d of smallest residual.  That
+    residual is the factor's accuracy check: d is returned only if it is at
+    most LU_PROBE_TOL.  A factor that raises or entries outside the float32
+    range also give None, without a warning.
+    """
+    matrix, b = jac.stored, rhs[jac.order]
+    with np.errstate(over="ignore"):
+        single = matrix.astype(np.float32)
+    if not np.isfinite(single.data).all():
+        return None
+    try:
+        lu = splu(single, permc_spec="NATURAL", diag_pivot_thresh=0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return None
+    b_norm = np.linalg.norm(b)
+    d, r, rel = np.zeros_like(b), b, 1.0
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_REFINEMENTS):
+            trial = d + lu.solve(r.astype(np.float32))
+            r_trial = b - matrix @ trial
+            rel_trial = np.linalg.norm(r_trial) / b_norm
+            halved = rel_trial <= 0.5 * rel
+            if rel_trial < rel:
+                d, r, rel = trial, r_trial, rel_trial
+            if not halved:
+                break
+    return d[jac.position] if rel <= LU_PROBE_TOL else None
+
+
 def _solve_direction(jac, rhs, krylov, precond, report):
-    """Newton direction and GMRES iterations: GMRES on a callable jac, else the
-    guarded sparse LU (iterations None), its fallback counted in report."""
+    """Newton direction and GMRES iterations: GMRES on a callable jac, the
+    refined single-precision solve on a Refined one, else the guarded sparse
+    LU (iterations None).  A Refined direction that refinement rejects is
+    counted in report and solved by the guarded LU, whose fallback counts too."""
     if callable(jac):
         result = gmres(jac, rhs, krylov, precond=precond)
         if not result.converged:
@@ -172,6 +223,12 @@ def _solve_direction(jac, rhs, krylov, precond, report):
                 f"after {result.iters} iterations")
         return result.x, result.iters
     try:
+        if isinstance(jac, Refined):
+            d = refined_solve(jac.jac, rhs, spla.splu)
+            if d is not None:
+                return d, None
+            report.lu_fallbacks += 1
+            jac = jac.jac
         lu, fallbacks = sparse_lu(jac, spla.splu)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
@@ -183,10 +240,11 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
                         report=None):
     """Damped Newton on F_eps with the eps-continuation schedule.
 
-    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU)
-    or callable v -> J v (GMRES); precond_builder(x, eps) -> left
-    preconditioner callable, rebuilt every outer iteration.  The solve fills
-    report (a new SolveReport by default), to which callbacks may add counts.
+    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU),
+    Refined matrix (refined float32 LU) or callable v -> J v (GMRES);
+    precond_builder(x, eps) -> left preconditioner callable, rebuilt every
+    outer iteration.  The solve fills report (a new SolveReport by default),
+    to which callbacks may add counts.
     Stopping threshold is max(tol, tol * ||F_eps0(x0)||), frozen at the
     initial residual.  While eps stays put the accepted line-search trial's
     residual is the next residual; a new eps needs one more evaluation.  A

@@ -224,26 +224,34 @@ class TestRunSingle:
     @pytest.mark.parametrize("method", ["newton-eps", "newton-ras-eps",
                                         "raspen-eps"])
     def test_every_lu_fallback_is_counted(self, monkeypatch, method):
-        # symmetric-mode factors that fail their probe, in the monolithic,
-        # RAS-local and RASPEN-local paths, leave exactly the default path
+        # stalled single-precision factors, and symmetric-mode factors that
+        # fail their probe, in the monolithic, RAS-local and RASPEN-local
+        # paths, leave exactly the default path
         cfg = mild_config(method=method, s1=2, s2=2, overlap=1, threads=2)
         _, spec = build_problem(cfg)
         x_sym, report_sym, _ = solve_single(cfg, spec)
         assert report_sym.lu_fallbacks == 0
-        attempts = []
+        attempts, rejected = [], []
 
         class Inaccurate:
-            def __init__(self, lu):
-                self.solve = lambda b: lu.solve(b) * (1.0 + 1e-8)
+            def __init__(self, lu, scale):
+                self.solve = lambda b: lu.solve(b) * scale
 
         def default_splu(matrix, **kwargs):
+            # the reference takes the pivoted double-precision path throughout
+            if matrix.dtype == np.float32:
+                rejected.append(matrix.shape)
+                raise RuntimeError("no single-precision factor")
             return spla.splu(matrix)
 
         def spoiled_splu(matrix, **kwargs):
             if not kwargs:
                 return spla.splu(matrix)
             attempts.append(matrix.shape)
-            return Inaccurate(spla.splu(matrix, **kwargs))
+            # twice the solution never lowers a refinement residual, so a
+            # single-precision factor stalls; 1e-8 fails the double probe
+            scale = 2.0 if matrix.dtype == np.float32 else 1.0 + 1e-8
+            return Inaccurate(spla.splu(matrix, **kwargs), scale)
 
         def solve(splu, run_cfg=cfg):
             stand_in = SimpleNamespace(splu=splu)
@@ -252,7 +260,7 @@ class TestRunSingle:
             return solve_single(run_cfg, spec)
 
         x_ref, report_ref, _ = solve(default_splu)
-        assert report_ref.lu_fallbacks == 0
+        assert report_ref.lu_fallbacks == len(rejected)
         x, report, _ = solve(spoiled_splu)
         assert report.converged
         assert report.lu_fallbacks == len(attempts) > 0
@@ -540,6 +548,13 @@ class TestCli:
             assert main(argv) == 2
             assert "must be finite" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+        # a tolerance below roundoff would spend every outer iteration
+        for flag in ("--tol", "--inner-tol"):
+            argv = ["solve", "--method", "newton-eps", "--n", "8", "--k-tilde", "1",
+                    flag, "1e-20", "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
+            assert "at least machine epsilon" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
         # gamma = 1 never takes a continuation method's eps0 to eps_min; a
         # plain base config lets the table find it in its newton-eps cells
         gamma_one = ["--n", "8", "--k-tilde", "1", "--gamma", "1"]
@@ -562,9 +577,12 @@ class TestCli:
         (["sparsity", "--n", "0"], "interior point"),
         (["rate", "--eps-list", "1e-2,abc"], "bad numeric list"),
         (["sparsity", "--eps-list", ","], "empty numeric list"),
+        (["rate", "--tol", "1e-20"], "at least machine epsilon"),
+        (["sparsity", "--tol", "1e-20"], "at least machine epsilon"),
     ], ids=["rate-nan-eps", "rate-nan-eps-ref", "sparsity-zero-eps",
             "sparsity-negative-mu", "rate-zero-n", "sparsity-zero-n",
-            "rate-bad-eps-list", "sparsity-empty-eps-list"])
+            "rate-bad-eps-list", "sparsity-empty-eps-list",
+            "rate-tol-below-roundoff", "sparsity-tol-below-roundoff"])
     def test_study_config_error_writes_nothing(self, tmp_path, capsys, argv, match):
         out = tmp_path / "out"
         # an --n in argv comes later, so it overrides the 8

@@ -11,8 +11,9 @@ import ocp.krylov as krylov
 from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
-                        NewtonConfig, Ordered, SolveReport, SolverFault,
-                        backtrack, newton_continuation, sparse_lu)
+                        NewtonConfig, Ordered, Refined, SolveReport, SolverFault,
+                        backtrack, newton_continuation, refined_solve,
+                        sparse_lu)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
@@ -543,3 +544,98 @@ class TestSparseLU:
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2, NewtonConfig(tol=1e-8))
         assert info.value.subdomain == bad
+
+
+class TestRefinedSolve:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("mu", [1.0, 1e-4])
+    def test_matches_pivoted_lu_on_stiff_jacobians(self, n, mu):
+        solves = []
+
+        def counting_splu(matrix, **kwargs):
+            lu = spla.splu(matrix, **kwargs)
+            return SimpleNamespace(solve=lambda b: solves.append(b) or lu.solve(b))
+
+        for jac, reference, rhs in stiff_jacobians(n, mu):
+            if jac.stored.shape[0] < 2 * n * n:
+                continue  # a subdomain's local Jacobian keeps the double factor
+            solves.clear()
+            d = refined_solve(jac, rhs, counting_splu)
+            # refinement ends when the residual stops halving, not at the cap
+            assert len(solves) < newton.MAX_REFINEMENTS
+            d_ref = spla.splu(reference).solve(rhs)
+            assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
+            # as accurate as the double-precision factor it replaces
+            d_double = sparse_lu(jac, spla.splu)[0].solve(rhs)
+            residuals = [np.linalg.norm(reference @ v - rhs) for v in (d, d_double)]
+            assert residuals[0] <= 2 * residuals[1]
+
+    @staticmethod
+    def spoiled_splu(spoil, spoil_double):
+        """splu whose float32 factors are spoiled by spoil (None: they raise),
+        and with spoil_double its symmetric-mode double factors by 1e-8."""
+
+        class Spoiled:
+            def __init__(self, lu, scale):
+                self.solve = lambda b: scale(lu.solve(b))
+
+        def splu(matrix, **kwargs):
+            if matrix.dtype == np.float32:
+                if spoil is None:
+                    raise RuntimeError("Factor is exactly singular")
+                return Spoiled(spla.splu(matrix, **kwargs), spoil)
+            if kwargs and spoil_double:
+                return Spoiled(spla.splu(matrix, **kwargs), lambda z: z * (1.0 + 1e-8))
+            return spla.splu(matrix, **kwargs)
+
+        return splu
+
+    @pytest.mark.parametrize("spoil_double", [False, True],
+                             ids=["symmetric", "pivoted"])
+    @pytest.mark.parametrize("spoil", [
+        lambda z: 2.0 * z,
+        lambda z: np.full_like(z, np.nan),
+        None,
+    ], ids=["stalled", "nonfinite", "raises"])
+    def test_rejected_factor_falls_back_to_double(self, monkeypatch, spoil,
+                                                  spoil_double):
+        # a rejected single-precision direction is counted and leaves exactly
+        # the double-precision path, symmetric or, past its probe, pivoted
+        grid = Grid(8)
+        spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=1)
+
+        def solve(refined, splu):
+            monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+            wrap = Refined if refined else lambda jac: jac
+            return newton_continuation(
+                np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
+                lambda x, eps: wrap(jacobian(x, spec, eps)),
+                ContinuationSchedule(1.0, 0.2, 1e-3), NewtonConfig())
+
+        spoiled = self.spoiled_splu(spoil, spoil_double)
+        x_ref, report_ref = solve(False, spoiled)
+        assert report_ref.lu_fallbacks == (report_ref.outer_iters if spoil_double else 0)
+        x, report = solve(True, spoiled)
+        assert report.converged and report.outer_iters == report_ref.outer_iters > 0
+        assert report.lu_fallbacks == report_ref.lu_fallbacks + report.outer_iters
+        np.testing.assert_array_equal(x, x_ref)
+
+    def test_entries_beyond_float32_fall_back_silently(self):
+        # the float32 copy of 1e39 overflows; pyproject.toml turns any
+        # RuntimeWarning into an error
+        matrix = sp.csc_matrix(np.diag([1e39, 1.0, 2.0]) + np.diag([0.1, 0.1], 1))
+        order = np.array([2, 0, 1])
+        jac = Ordered(matrix[order][:, order].tocsc(), order, np.argsort(order))
+        b = np.array([1e39, 1.0, 1.0])
+        assert refined_solve(jac, b, spla.splu) is None
+
+        def solve(wrap):
+            return newton_continuation(
+                np.zeros(3), lambda x, eps: jac @ x - b, lambda x, eps: wrap(jac),
+                ContinuationSchedule.fixed(1.0), NewtonConfig())
+
+        x_ref, report_ref = solve(lambda j: j)
+        x, report = solve(Refined)
+        assert report.converged and report.outer_iters == report_ref.outer_iters == 1
+        assert (report_ref.lu_fallbacks, report.lu_fallbacks) == (0, 1)
+        np.testing.assert_array_equal(x, x_ref)
