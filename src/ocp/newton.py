@@ -28,8 +28,9 @@ class LinearSolveError(SolverFault):
 # bound on the relative residual of the probe that accepts an unpivoted factor,
 # and of the refinement that accepts a single-precision direction
 LU_PROBE_TOL = 1e-10
-# single-precision solves one refined direction may take
-MAX_REFINEMENTS = 10
+# single-precision solves one refined direction may take: a fresh factor
+# reaches the roundoff floor in about 4, an earlier step's in up to about 18
+MAX_REFINEMENTS = 20
 # halvings of the step length the line search may try before giving up
 MAX_HALVINGS = 30
 
@@ -174,27 +175,32 @@ class Refined:
     jac: Ordered
 
 
-def refined_solve(jac, rhs, splu):
-    """Solution of the Ordered jac d = rhs from a float32 factor, or None.
-
-    The stored matrix is factored in single precision like sparse_lu's first
-    try, and d is refined in double: d += LU32^-1 (rhs - jac d).  Refinement
-    stops once the relative residual no longer halves, or after
-    MAX_REFINEMENTS solves, and keeps the d of smallest residual.  That
-    residual is the factor's accuracy check: d is returned only if it is at
-    most LU_PROBE_TOL.  A factor that raises or entries outside the float32
-    range also give None, without a warning.
-    """
-    matrix, b = jac.stored, rhs[jac.order]
+def float32_lu(jac, splu):
+    """Single-precision SuperLU factor of the Ordered jac's stored matrix,
+    made like sparse_lu's first try, or None if the factorization raises or
+    an entry lies outside the float32 range (without a warning)."""
     with np.errstate(over="ignore"):
-        single = matrix.astype(np.float32)
+        single = jac.stored.astype(np.float32)
     if not np.isfinite(single.data).all():
         return None
     try:
-        lu = splu(single, permc_spec="NATURAL", diag_pivot_thresh=0,
-                  options=dict(SymmetricMode=True))
+        return splu(single, permc_spec="NATURAL", diag_pivot_thresh=0,
+                    options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
+
+
+def refined_solve(jac, rhs, lu):
+    """Solution of the Ordered jac d = rhs refined on a float32 factor, or None.
+
+    lu is a float32_lu factor of jac or of an earlier Jacobian with the same
+    stored order, and d is refined in double: d += LU32^-1 (rhs - jac d).
+    Refinement stops once the relative residual no longer halves, or after
+    MAX_REFINEMENTS solves, and keeps the d of smallest residual.  d is
+    returned only at the roundoff floor: refinement stopped because the
+    residual no longer halved, and that residual is at most LU_PROBE_TOL.
+    """
+    matrix, b = jac.stored, rhs[jac.order]
     b_norm = np.linalg.norm(b)
     d, r, rel = np.zeros_like(b), b, 1.0
     with np.errstate(all="ignore"):
@@ -207,14 +213,36 @@ def refined_solve(jac, rhs, splu):
                 d, r, rel = trial, r_trial, rel_trial
             if not halved:
                 break
-    return d[jac.position] if rel <= LU_PROBE_TOL else None
+    return d[jac.position] if not halved and rel <= LU_PROBE_TOL else None
 
 
-def _solve_direction(jac, rhs, krylov, precond, report):
+def _refined_direction(jac, rhs, held):
+    """refined_solve's direction for the Ordered jac, or None if it misses.
+
+    held holds the float32 factor of the last refined direction, if any;
+    the direction is refined on it first.  If it misses, it is dropped
+    before a fresh factor of jac is made, and the fresh factor is held if
+    its direction is kept.  So at most one float32 factor is alive.
+    """
+    if held:
+        d = refined_solve(jac, rhs, held[0])
+        if d is not None:
+            return d
+        held.clear()
+    lu = float32_lu(jac, spla.splu)
+    d = refined_solve(jac, rhs, lu) if lu is not None else None
+    if d is not None:
+        held.append(lu)
+    return d
+
+
+def _solve_direction(jac, rhs, krylov, precond, report, held):
     """Newton direction and GMRES iterations: GMRES on a callable jac, the
-    refined single-precision solve on a Refined one, else the guarded sparse
-    LU (iterations None).  A Refined direction that refinement rejects is
-    counted in report and solved by the guarded LU, whose fallback counts too."""
+    refined single-precision solve on a Refined one (on the factor in held
+    while it keeps refining to the floor), else the guarded sparse LU
+    (iterations None).  A Refined direction that no fresh float32 factor
+    gives is counted in report and solved by the guarded LU, whose fallback
+    counts too; a held factor that misses is not counted."""
     if callable(jac):
         result = gmres(jac, rhs, krylov, precond=precond)
         if not result.converged:
@@ -224,7 +252,7 @@ def _solve_direction(jac, rhs, krylov, precond, report):
         return result.x, result.iters
     try:
         if isinstance(jac, Refined):
-            d = refined_solve(jac.jac, rhs, spla.splu)
+            d = _refined_direction(jac.jac, rhs, held)
             if d is not None:
                 return d, None
             report.lu_fallbacks += 1
@@ -241,7 +269,9 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     """Damped Newton on F_eps with the eps-continuation schedule.
 
     residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU),
-    Refined matrix (refined float32 LU) or callable v -> J v (GMRES);
+    Refined matrix (refined float32 LU, whose factor the solve holds and
+    reuses while it refines later directions to the floor) or callable
+    v -> J v (GMRES);
     precond_builder(x, eps) -> left preconditioner callable, rebuilt every
     outer iteration.  The solve fills report (a new SolveReport by default),
     to which callbacks may add counts.
@@ -255,6 +285,8 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     x = np.array(x0, dtype=float, copy=True)
     eps = sched.eps0
     report = report if report is not None else SolveReport()
+    # the float32 factor of the last refined direction, kept for this solve
+    held = []
     try:
         r = residual_fn(x, eps)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -270,7 +302,8 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
                 break
             jac = jacobian_fn(x, eps)
             precond = precond_builder(x, eps) if precond_builder is not None else None
-            d, lin_iters = _solve_direction(jac, -r, cfg.linear_solver, precond, report)
+            d, lin_iters = _solve_direction(jac, -r, cfg.linear_solver, precond,
+                                            report, held)
             # this step's Jacobian and preconditioner factors go before the
             # line search and the next step make their own
             del jac, precond

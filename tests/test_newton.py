@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
                         NewtonConfig, Ordered, Refined, SolveReport, SolverFault,
-                        backtrack, newton_continuation, refined_solve,
-                        sparse_lu)
+                        backtrack, float32_lu, newton_continuation,
+                        refined_solve, sparse_lu)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
@@ -560,7 +561,7 @@ class TestRefinedSolve:
             if jac.stored.shape[0] < 2 * n * n:
                 continue  # a subdomain's local Jacobian keeps the double factor
             solves.clear()
-            d = refined_solve(jac, rhs, counting_splu)
+            d = refined_solve(jac, rhs, float32_lu(jac, counting_splu))
             # refinement ends when the residual stops halving, not at the cap
             assert len(solves) < newton.MAX_REFINEMENTS
             d_ref = spla.splu(reference).solve(rhs)
@@ -569,6 +570,84 @@ class TestRefinedSolve:
             d_double = sparse_lu(jac, spla.splu)[0].solve(rhs)
             residuals = [np.linalg.norm(reference @ v - rhs) for v in (d, d_double)]
             assert residuals[0] <= 2 * residuals[1]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("mu", [1.0, 1e-4])
+    def test_earlier_factor_is_as_accurate_or_rejected(self, n, mu):
+        # each monolithic Jacobian refined on the float32 factor of the one
+        # before it: a kept direction sits at the roundoff floor of the
+        # double-precision factor it replaces
+        mono = [(jac, reference, rhs) for jac, reference, rhs in stiff_jacobians(n, mu)
+                if jac.stored.shape[0] == 2 * n * n]
+        for (earlier, _, _), (jac, reference, rhs) in zip(mono, mono[1:]):
+            lu, solves = float32_lu(earlier, spla.splu), []
+            counting = SimpleNamespace(solve=lambda b: solves.append(b) or lu.solve(b))
+            d = refined_solve(jac, rhs, counting)
+            if d is None:
+                continue
+            # refinement ended when the residual stopped halving
+            assert len(solves) < newton.MAX_REFINEMENTS
+            d_double = sparse_lu(jac, spla.splu)[0].solve(rhs)
+            residuals = [np.linalg.norm(reference @ v - rhs) for v in (d, d_double)]
+            assert residuals[0] <= 2 * residuals[1]
+
+    @staticmethod
+    def default_solve(monkeypatch, splu):
+        """The newton-eps solve of the default problem at n=32 with its
+        monolithic Jacobian refined, factored by splu."""
+        grid = Grid(32)
+        spec, _ = construct_test_problem(grid)
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+        return newton_continuation(
+            np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
+            lambda x, eps: Refined(jacobian(x, spec, eps)),
+            ContinuationSchedule(), NewtonConfig())
+
+    def test_held_factor_is_reused_without_changing_the_result(self, monkeypatch):
+        dtypes = []
+
+        def counting_splu(matrix, **kwargs):
+            dtypes.append(matrix.dtype)
+            return spla.splu(matrix, **kwargs)
+
+        def double_splu(matrix, **kwargs):
+            if matrix.dtype == np.float32:
+                raise RuntimeError("no single-precision factor")
+            return spla.splu(matrix, **kwargs)
+
+        x_ref, report_ref = self.default_solve(monkeypatch, double_splu)
+        assert report_ref.converged and report_ref.lu_fallbacks == report_ref.outer_iters
+        x, report = self.default_solve(monkeypatch, counting_splu)
+        assert report.converged and report.outer_iters == report_ref.outer_iters
+        # some directions come from an earlier step's factor, and a factor
+        # that misses is replaced without counting a fallback
+        assert all(dtype == np.float32 for dtype in dtypes)
+        assert 1 < len(dtypes) < report.outer_iters
+        assert report.lu_fallbacks == 0
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    def test_one_float32_factor_is_alive_at_a_time(self, monkeypatch):
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        made = []
+
+        def tracking_splu(matrix, **kwargs):
+            # no float32 factor is alive when a factor is made: a held one
+            # that missed is released before its replacement
+            assert all(ref() is None for ref in made)
+            lu = spla.splu(matrix, **kwargs)
+            if matrix.dtype != np.float32:
+                return lu
+            factor = Factor(lu)
+            made.append(weakref.ref(factor))
+            return factor
+
+        _, report = self.default_solve(monkeypatch, tracking_splu)
+        assert report.converged and len(made) > 1
+        # the solve lets go of the factor it held
+        assert all(ref() is None for ref in made)
 
     @staticmethod
     def spoiled_splu(spoil, spoil_double):
@@ -627,7 +706,7 @@ class TestRefinedSolve:
         order = np.array([2, 0, 1])
         jac = Ordered(matrix[order][:, order].tocsc(), order, np.argsort(order))
         b = np.array([1e39, 1.0, 1.0])
-        assert refined_solve(jac, b, spla.splu) is None
+        assert float32_lu(jac, spla.splu) is None
 
         def solve(wrap):
             return newton_continuation(
