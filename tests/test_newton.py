@@ -561,9 +561,9 @@ class TestRefinedSolve:
             if jac.stored.shape[0] < 2 * n * n:
                 continue  # a subdomain's local Jacobian keeps the double factor
             solves.clear()
-            d = refined_solve(jac, rhs, float32_lu(jac, counting_splu))
+            d, taken = refined_solve(jac, rhs, float32_lu(jac, counting_splu))
             # refinement ends when the residual stops halving, not at the cap
-            assert len(solves) < newton.MAX_REFINEMENTS
+            assert taken == len(solves) < newton.MAX_REFINEMENTS
             d_ref = spla.splu(reference).solve(rhs)
             assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
             # as accurate as the double-precision factor it replaces
@@ -582,7 +582,8 @@ class TestRefinedSolve:
         for (earlier, _, _), (jac, reference, rhs) in zip(mono, mono[1:]):
             lu, solves = float32_lu(earlier, spla.splu), []
             counting = SimpleNamespace(solve=lambda b: solves.append(b) or lu.solve(b))
-            d = refined_solve(jac, rhs, counting)
+            d, taken = refined_solve(jac, rhs, counting)
+            assert taken == len(solves)
             if d is None:
                 continue
             # refinement ended when the residual stopped halving
@@ -592,16 +593,22 @@ class TestRefinedSolve:
             assert residuals[0] <= 2 * residuals[1]
 
     @staticmethod
-    def default_solve(monkeypatch, splu):
+    def default_solve(monkeypatch, splu, events=None):
         """The newton-eps solve of the default problem at n=32 with its
-        monolithic Jacobian refined, factored by splu."""
+        monolithic Jacobian refined, factored by splu; each step appends
+        "J" to events, if given."""
         grid = Grid(32)
         spec, _ = construct_test_problem(grid)
         monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+
+        def refined_jacobian(x, eps):
+            if events is not None:
+                events.append("J")
+            return Refined(jacobian(x, spec, eps))
+
         return newton_continuation(
             np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
-            lambda x, eps: Refined(jacobian(x, spec, eps)),
-            ContinuationSchedule(), NewtonConfig())
+            refined_jacobian, ContinuationSchedule(), NewtonConfig())
 
     def test_held_factor_is_reused_without_changing_the_result(self, monkeypatch):
         dtypes = []
@@ -625,6 +632,44 @@ class TestRefinedSolve:
         assert 1 < len(dtypes) < report.outer_iters
         assert report.lu_fallbacks == 0
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    def test_stale_held_factor_is_refreshed_on_the_next_step(self, monkeypatch):
+        # the solve as a string: "J" per step, "F" per float32 factor and
+        # "s" per float32 solve
+        def traced_solve():
+            events = []
+
+            def tracing_splu(matrix, **kwargs):
+                lu = spla.splu(matrix, **kwargs)
+                if matrix.dtype != np.float32:
+                    return lu
+                events.append("F")
+                return SimpleNamespace(solve=lambda b: events.append("s") or lu.solve(b))
+
+            x, report = self.default_solve(monkeypatch, tracing_splu, events)
+            assert report.converged and report.lu_fallbacks == 0
+            return x, "".join(events)
+
+        x, events = traced_solve()
+        steps = events.split("J")[1:]
+        # per step: the solves on the held factor, if its direction was kept
+        kept = [len(step) if "F" not in step else None for step in steps]
+        stale = kept_fresh = 0
+        for solves, following in zip(kept, steps[1:]):
+            if solves is None:
+                continue
+            if solves > newton.REFRESH_SOLVES:
+                # kept, then dropped: the next step starts on a fresh factor
+                stale += 1
+                assert following.startswith("F")
+            else:
+                kept_fresh += 1
+                assert following.startswith("s")
+        assert stale and kept_fresh
+        # the rule counts solves, so a rerun makes the same factors
+        x_again, events_again = traced_solve()
+        assert events_again == events
+        np.testing.assert_array_equal(x_again, x)
 
     def test_one_float32_factor_is_alive_at_a_time(self, monkeypatch):
         class Factor:

@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ocp.grid import Grid
+from ocp.grid import Grid, build_laplacian
 from ocp.harness.config import build_config
 import ocp.harness.experiments as experiments
 from ocp.harness.experiments import solve_single
@@ -23,7 +24,8 @@ from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
 import ocp.system as system
-from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
+from ocp.system import (Nonlinearity, PairPattern, ProblemSpec,
+                        construct_test_problem, jacobian, jacobian_diagonals,
                         jacobian_operator, pair_jacobian, residual, split_pair)
 
 
@@ -301,6 +303,25 @@ class TestJacobianPattern:
         np.testing.assert_array_equal(np.sort(order), np.arange(2 * grid.size))
         np.testing.assert_array_equal(order[1::2], order[0::2] + grid.size)
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_incomplete_factor_orders_like_a_complete_one(self, n):
+        # the incomplete factor's order is the complete factor's, for the
+        # global operator and every subdomain operator
+        grid = Grid(n)
+        zeros = np.zeros(grid.size)
+        spec = ProblemSpec(grid, build_laplacian(grid), Nonlinearity(), 1.0, 1.0,
+                           zeros, zeros)
+        operators = [spec.a] + [
+            loc.a_loc for s1, s2, m in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]
+            for loc in build_local_systems(decompose(grid, s1, s2, m), spec)]
+        for a in operators:
+            size = a.shape[0]
+            lu = spla.splu((a + sp.identity(size)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+            points = np.argsort(lu.perm_c)
+            np.testing.assert_array_equal(
+                PairPattern(a).order, np.column_stack([points, points + size]).ravel())
+
     def test_build_local_systems_factors_nothing(self, monkeypatch):
         def no_splu(matrix, **kwargs):
             raise AssertionError("splu called")
@@ -323,11 +344,14 @@ class TestJacobianPattern:
         ordered = []
         real = system.spla
 
-        def counting_splu(matrix, **kwargs):
-            ordered.append(matrix.shape)
-            return real.splu(matrix, **kwargs)
+        def counting(factor):
+            def make(matrix, **kwargs):
+                ordered.append(matrix.shape)
+                return factor(matrix, **kwargs)
+            return make
 
-        monkeypatch.setattr(system, "spla", SimpleNamespace(splu=counting_splu))
+        monkeypatch.setattr(system, "spla", SimpleNamespace(
+            splu=counting(real.splu), spilu=counting(real.spilu)))
         cfg = build_config(overrides=dict(method=method, n=16, nu=1e-2, k_tilde=2,
                                           eps_min=1e-3, s1=2, s2=2, overlap=1))
         _, report, _ = solve_single(cfg)
