@@ -2,10 +2,10 @@
 
 P_eps is the square-root-shifted smoothing of the pointwise projection; d_eps is
 the derivative of the smooth penalty that replaces the L1 norm, defined as the
-unique fixed point of d = P_eps(d + ratio*x) with ratio = nu/mu.  All functions
-are pure; everything vectorizes over x except the fixed-point solver, which is
-scalar: the solvers work on P_eps alone, and d_eps serves checks of the
-smoothing only.
+unique solution of d = P_eps(d + ratio*x) with ratio = nu/mu, found by Brent's
+method.  All functions are pure; everything vectorizes over x except d_eps,
+which is scalar: the solvers work on P_eps alone, and d_eps serves checks of
+the smoothing only.
 """
 
 import numpy as np
@@ -45,13 +45,12 @@ def smoothed_projection_derivative(x, eps):
 
 
 def penalty_derivative(x, eps, ratio, tol=1e-13):
-    """Solve d = P_eps(d + ratio*x) for d in [-1, 1].
+    """Solve d = P_eps(d + ratio*x) for d in [-1, 1] by Brent's method.
 
-    At most 100 sweeps of fixed-point iteration with Aitken extrapolation; the
-    map contracts by 1/sqrt(1+eps), which nears 1 for small eps, so a final
-    bisection on g(d) = d - P_eps(d + ratio*x) covers that regime
-    (g is strictly increasing with 0 < g' <= 1 and changes sign on [-1, 1],
-    hence |g(midpoint)| is bounded by the interval width).
+    g(d) = d - P_eps(d + ratio*x) is strictly increasing with 0 < g' <= 1 and
+    changes sign on [-1, 1], so brentq brackets the unique root d* and returns
+    a d with |g(d)| <= |d - d*| <= tol + 4 machine epsilons * |d|.  brentq
+    raises RuntimeError if it does not converge.
     """
     if eps <= 0:
         raise ValueError("penalty derivative needs eps > 0")
@@ -59,32 +58,10 @@ def penalty_derivative(x, eps, ratio, tol=1e-13):
         raise ValueError("ratio must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    # imported here: scipy.optimize adds about 17 MB to a process's resident
+    # memory, and no solver path calls this function
+    from scipy.optimize import brentq
+
     shift = ratio * float(x)
-
-    def step(d):
-        return float(smoothed_projection(d + shift, eps))
-
-    d = 0.0
-    for _ in range(100):
-        d1 = step(d)
-        d2 = step(d1)
-        denom = d2 - 2.0 * d1 + d
-        d_next = d2 if denom == 0.0 else d - (d1 - d) ** 2 / denom
-        if not -1.0 <= d_next <= 1.0:
-            d_next = d2
-        d = d_next
-        if abs(step(d) - d) <= tol:
-            return d
-    lo, hi = -1.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid - step(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d = 0.5 * (lo + hi)
-    if abs(step(d) - d) > tol:
-        raise RuntimeError(f"penalty derivative did not reach tol={tol} at eps={eps}")
-    return d
+    return brentq(lambda d: d - float(smoothed_projection(d + shift, eps)),
+                  -1.0, 1.0, xtol=tol)

@@ -117,8 +117,7 @@ def residual_rows(ay, ap, y, p, f, y_d, spec, eps):
     ay and ap, and their own data f and y_d; spec gives phi, nu and mu.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        control_term = (p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
-        r1 = ay + spec.phi.value(y) - f + control_term
+        r1 = ay + spec.phi.value(y) - f - recover_control(p, spec, eps)
         r2 = ap + spec.phi.derivative(y) * p - y + y_d
     return r1, r2
 
@@ -215,7 +214,7 @@ def jacobian_apply(x: np.ndarray, d: np.ndarray, spec: ProblemSpec,
 
 def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # extreme mu / nu
-        return -(p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / spec.nu
+        return (p + spec.mu * smoothed_projection(-p / spec.mu, eps)) / -spec.nu
 
 
 def solve_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:

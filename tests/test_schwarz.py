@@ -303,7 +303,7 @@ class TestJacobianPattern:
         np.testing.assert_array_equal(np.sort(order), np.arange(2 * grid.size))
         np.testing.assert_array_equal(order[1::2], order[0::2] + grid.size)
 
-    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 100, 128])
     def test_incomplete_factor_orders_like_a_complete_one(self, n):
         # the incomplete factor's order is the complete factor's, for the
         # global operator and every subdomain operator

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,9 +115,10 @@ def test_penalty_derivative_fixed_point_residual():
 
 
 def test_penalty_derivative_agrees_with_bisection():
-    # a fixed-point residual of tol bounds the error by tol / (1 - q) with
-    # contraction factor q = 1/sqrt(1+eps), so the agreement tolerance has
-    # to widen as eps shrinks
+    # brentq stops within tol = 1e-13 of the root and the bisection oracle
+    # within an ulp of it, so 1e-10 leaves room; the bound still widens for
+    # small eps to 2 tol / (1 - q), the error of any d with |g(d)| <= tol,
+    # since g' >= 1 - q for the contraction factor q = 1/sqrt(1+eps)
     rng = np.random.default_rng(19)
     xs = rng.uniform(-5, 5, 40)
     for eps in (1.0, 1e-2, 1e-4):
@@ -131,6 +137,16 @@ def test_penalty_derivative_validation():
         penalty_derivative(1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         penalty_derivative(1.0, 1.0, 1.0, tol=0.0)
+
+
+def test_solvers_leave_scipy_optimize_unloaded():
+    # scipy.optimize adds about 17 MB to a process's resident memory, so only
+    # penalty_derivative, which no solver path calls, imports it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ocp.harness.cli; sys.exit('scipy.optimize' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_slope_matches_finite_differences():
