@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 import math
 import sys
 
+from ..grid import Grid
+
 METHODS = ("newton", "newton-eps", "newton-ras", "newton-ras-eps",
            "raspen", "raspen-eps")
 LINEAR_SOLVERS = ("auto", "direct", "gmres")
@@ -54,8 +56,10 @@ class ExperimentConfig:
                               f"choose from {', '.join(METHODS)}")
         if self.linear_solver not in LINEAR_SOLVERS:
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
+        try:
+            Grid(self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.s1 < 1 or self.s2 < 1:
             raise ConfigError("subdomain counts must be at least 1")
         if self.overlap < 0:

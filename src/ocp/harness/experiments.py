@@ -1,10 +1,11 @@
 """Experiment orchestration: single runs, benchmark tables, and studies.
 
-All solves start from x = 0 with the stopping rule max(tol, tol * ||F(x0)||)
-of the Newton core.  Table protocols mirror the benchmark layout of the
-method-comparison experiments at a caller-chosen grid size; wall times are
-reported but never asserted anywhere, iteration counts are the quantities
-of interest.
+Every solve goes through solve_single, from x = 0 unless the caller hands
+it a start (the rate study's warm starts), with the stopping rule
+max(tol, tol * ||F(x0)||) of the Newton core.  Table protocols mirror the
+benchmark layout of the method-comparison experiments at a caller-chosen
+grid size; wall times are reported but never asserted anywhere, iteration
+counts are the quantities of interest.
 """
 
 from dataclasses import asdict, astuple, replace
@@ -21,7 +22,7 @@ from ..schwarz import (Lanes, build_local_systems, decompose,
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
-from .config import MIN_TOL
+from .config import ExperimentConfig
 from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
                       history_rows, report_to_dict, write_csv,
                       write_report_json)
@@ -48,16 +49,17 @@ def schedule_for(cfg):
     return ContinuationSchedule.fixed(cfg.eps_min)
 
 
-def solve_single(cfg, spec=None):
+def solve_single(cfg, spec=None, x0=None):
     """Dispatch one solve per the configured method; returns (x, report, spec).
 
-    A Schwarz method decomposes the grid, builds the local systems and opens
-    the subdomain lanes once per solve.
+    spec defaults to the configured test problem and x0 to zero.  A Schwarz
+    method decomposes the grid, builds the local systems and opens the
+    subdomain lanes once per solve.
     """
     if spec is None:
         _, spec = build_problem(cfg)
     sched = schedule_for(cfg)
-    x0 = np.zeros(2 * spec.grid.size)
+    x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
     decomposed = cfg.uses_ras or cfg.is_raspen
     max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
     newton_cfg = NewtonConfig(
@@ -217,28 +219,19 @@ def run_table(table_id, base_cfg, out_dir):
     return code, rows
 
 
-def _continuation_solve(spec, eps, tol, x0=None, eps0=1.0):
-    """Continuation solve at eps from x0 (default 0), eps running from eps0."""
-    x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
-    sched = ContinuationSchedule(max(eps0, eps), 0.2, eps)
-    x, report = newton_continuation(
-        x0, lambda z, e: residual(z, spec, e),
-        lambda z, e: Refined(jacobian(z, spec, e)), sched, NewtonConfig(tol=tol))
+def _study_solve(cfg, spec, eps, x0=None, eps0=1.0):
+    """solve_single at eps from x0 (default 0), eps running from eps0."""
+    x, report, _ = solve_single(replace(cfg, eps0=max(eps0, eps), eps_min=eps), spec, x0)
     if not report.converged:
         raise SolverFault(f"study solve at eps={eps:g} failed: {report.failure}")
-    return x
+    return x, report
 
 
-def _check_study(kappa, tol, **positive):
-    """Reject bad study parameters before any file is written."""
-    for name, values in positive.items():
+def _check_study(**lists):
+    """Reject bad eps/mu lists before any file is written."""
+    for name, values in lists.items():
         if not all(0.0 < v < np.inf for v in np.atleast_1d(values)):
             raise ValueError(f"{name} must be positive and finite, got {values!r}")
-    if not np.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa!r}")
-    if not MIN_TOL <= tol < np.inf:
-        raise ValueError(f"tol must be finite and at least machine epsilon "
-                         f"{MIN_TOL:.3g}, got {tol!r}")
 
 
 def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
@@ -252,25 +245,26 @@ def rate_study(n, eps_list, out_dir, nu=1e-6, mu=1.0, kappa=0.1,
     least-squares line of log error against log eps.  A SolverFault still
     writes rate.json, with the failure and a null slope, then propagates.
     """
-    _check_study(kappa, tol, eps_list=eps_list, eps_ref=eps_ref, nu=nu, mu=mu)
+    _check_study(eps_list=eps_list, eps_ref=eps_ref)
     eps_list = sorted(eps_list, reverse=True)
     if eps_ref >= min(eps_list):
         raise ValueError("eps_ref must lie below every eps in the study")
     if len(set(eps_list)) < 2:
         raise ValueError("the rate fit needs at least two distinct eps values")
+    cfg = ExperimentConfig(method="newton-eps", n=n, nu=nu, mu=mu, kappa=kappa, tol=tol)
     grid = Grid(n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, slope, failure = [], None, None
     try:
         spec, _ = construct_plateau_problem(grid, kappa=kappa, nu=nu, mu=mu)
+        x, report = _study_solve(cfg, spec, eps_list[0])
         # from a warm start the core's threshold max(tol, tol * ||F(x0)||) is
         # tol, so warm starts get the first solve's threshold, from x0 = 0
-        f0 = residual(np.zeros(2 * grid.size), spec, max(1.0, eps_list[0]))
-        warm_tol = max(tol, tol * float(np.linalg.norm(f0)))
-        xs = [_continuation_solve(spec, eps_list[0], tol)]
+        warm = replace(cfg, tol=report.threshold)
+        xs = [x]
         for eps_prev, eps in zip(eps_list, [*eps_list[1:], eps_ref]):
-            xs.append(_continuation_solve(spec, eps, warm_tol, xs[-1], eps_prev))
+            xs.append(_study_solve(warm, spec, eps, xs[-1], eps_prev)[0])
         y_ref, p_ref = split_pair(xs.pop())
         rows = [(eps, float(np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))))
                 for eps, (y, p) in zip(eps_list, map(split_pair, xs))]
@@ -291,7 +285,8 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
                    tol=1e-10, dump_fields=True):
     """Sparsity fraction of the recovered control over a (mu, eps) grid; a
     SolverFault still writes the cells completed before it, then propagates."""
-    _check_study(kappa, tol, mu_list=mu_list, eps_list=eps_list, nu=nu)
+    _check_study(mu_list=mu_list, eps_list=eps_list)
+    cfg = ExperimentConfig(method="newton-eps", n=n, nu=nu, kappa=kappa, tol=tol)
     grid = Grid(n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +295,8 @@ def sparsity_study(mu_list, eps_list, n, out_dir, nu=1e-6, kappa=0.1,
         for mu in mu_list:
             spec = sparsity_target_problem(grid, mu=mu, kappa=kappa, nu=nu)
             for eps in eps_list:
-                _, p = split_pair(_continuation_solve(spec, eps, tol))
+                x, _ = _study_solve(replace(cfg, mu=mu), spec, eps)
+                _, p = split_pair(x)
                 u = recover_control(p, spec, eps)
                 rows.append((mu, eps, sparsity_fraction(u)))
                 if dump_fields:

@@ -141,6 +141,25 @@ class TestConfig:
             with pytest.raises(ConfigError, match="tolerances must be positive"):
                 build_config(overrides={"gmres_tol": tol})
 
+    @pytest.mark.parametrize("overrides,match", [
+        ({"linear_solver": "lu"}, "unknown linear solver 'lu'"),
+        ({"n": 0}, "grid needs at least one interior point"),
+        ({"s1": 0}, "subdomain counts must be at least 1"),
+        ({"s2": 0}, "subdomain counts must be at least 1"),
+        ({"overlap": -1}, "overlap must be nonnegative"),
+        ({"gamma": 0.0}, r"gamma must lie in \(0, 1\]"),
+        ({"gamma": 1.5}, r"gamma must lie in \(0, 1\]"),
+        ({"sigma": 0.9}, "sigma must be at least 1"),
+        ({"nu": 0.0}, "nu and mu must be positive"),
+        ({"mu": -1.0}, "nu and mu must be positive"),
+        ({"threads": -1}, "threads must be nonnegative"),
+        ({"max_outer": -1}, "max_outer must be nonnegative"),
+    ], ids=["linear-solver", "n", "s1", "s2", "overlap", "gamma-zero",
+            "gamma-above-one", "sigma", "nu", "mu", "threads", "max-outer"])
+    def test_rejection(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            build_config(overrides=overrides)
+
     def test_method_properties(self):
         assert mild_config(method="newton-ras-eps", s1=2, s2=2).uses_ras
         assert mild_config(method="raspen", s1=2, s2=2).is_raspen
@@ -325,6 +344,23 @@ class TestRunSingle:
         for name in ("y.csv", "p.csv", "u.csv"):
             read_field_csv(tmp_path / name, Grid(12))
 
+    @pytest.mark.parametrize("method,shape", [
+        ("newton-eps", {}),
+        ("newton-ras-eps", {"s1": 2, "s2": 2}),
+        ("raspen-eps", {"s1": 2, "s2": 2}),
+    ], ids=["monolithic", "ras", "raspen"])
+    def test_solve_single_starts_from_x0(self, method, shape):
+        # a start at the solution begins the history at its residual, not
+        # at the residual of 0
+        cfg = mild_config(method=method, eps0=MILD["eps_min"], **shape)
+        x_star, cold, spec = solve_single(cfg)
+        assert cold.converged
+        x0 = x_star.copy()
+        _, warm, _ = solve_single(cfg, spec, x0)
+        np.testing.assert_array_equal(x0, x_star)
+        assert warm.converged and warm.outer_iters < cold.outer_iters
+        assert warm.residual_norms[0] < 1e-6 * cold.residual_norms[0]
+
 
 class TestRunTable:
     def test_mono_protocol_layout(self, tmp_path):
@@ -418,7 +454,6 @@ class TestStudies:
 
     def test_rate_study_warm_starts_match_cold_solves(self, tmp_path,
                                                       monkeypatch):
-        from ocp.harness.experiments import _continuation_solve
         from ocp.system import construct_plateau_problem
         assemblies = []
         real = experiments.jacobian
@@ -432,9 +467,16 @@ class TestStudies:
         warm = len(assemblies)
         grid = Grid(16)
         spec, _ = construct_plateau_problem(grid)
-        y_ref, p_ref = split_pair(_continuation_solve(spec, 1e-12, 1e-10))
+        cfg = ExperimentConfig(n=16)
+
+        def cold_solve(eps):
+            x, report, _ = solve_single(replace(cfg, eps_min=eps), spec)
+            assert report.converged
+            return split_pair(x)
+
+        y_ref, p_ref = cold_solve(1e-12)
         for eps, err in rows:
-            y, p = split_pair(_continuation_solve(spec, eps, 1e-10))
+            y, p = cold_solve(eps)
             cold = np.hypot(grid.h1_norm(y - y_ref), grid.h1_norm(p - p_ref))
             assert err == pytest.approx(cold, rel=1e-6)
         assert warm < len(assemblies) - warm
@@ -452,34 +494,33 @@ class TestStudies:
 
     def test_identical_solves_have_zero_distance(self):
         # the reference comparison degenerates to zero for the same field
-        from ocp.harness.experiments import _continuation_solve
         from ocp.system import construct_plateau_problem
-        grid = Grid(12)
-        spec, _ = construct_plateau_problem(grid)
-        x1 = _continuation_solve(spec, 1e-2, 1e-10)
-        x2 = _continuation_solve(spec, 1e-2, 1e-10)
+        spec, _ = construct_plateau_problem(Grid(12))
+        cfg = ExperimentConfig(n=12, eps_min=1e-2)
+        x1, _, _ = solve_single(cfg, spec)
+        x2, _, _ = solve_single(cfg, spec)
         np.testing.assert_array_equal(x1, x2)
 
     def test_continuation_solve_failure_is_a_solver_fault(
-            self, overflow_from_second_jacobian):
-        from ocp.harness.experiments import _continuation_solve
-        from ocp.system import construct_plateau_problem
-        spec, _ = construct_plateau_problem(Grid(12))
+            self, tmp_path, overflow_from_second_jacobian):
         with pytest.raises(SolverFault, match="study solve at eps=0.01 failed"):
-            _continuation_solve(spec, 1e-2, 1e-10)
+            rate_study(12, [1e-2, 1e-3], tmp_path)
+        summary = read_report_json(tmp_path / "rate.json")
+        assert summary["failure"].startswith("study solve at eps=0.01 failed")
+        assert summary["slope"] is None
 
     def test_sparsity_fault_keeps_the_completed_cells(self, tmp_path,
                                                       monkeypatch):
-        real = experiments._continuation_solve
+        real = experiments.solve_single
         calls = []
 
-        def fail_third(spec, eps, tol):
-            calls.append(eps)
+        def fail_third(cfg, spec=None, x0=None):
+            calls.append(cfg.eps_min)
             if len(calls) == 3:
                 raise SolverFault("injected")
-            return real(spec, eps, tol)
+            return real(cfg, spec, x0)
 
-        monkeypatch.setattr(experiments, "_continuation_solve", fail_third)
+        monkeypatch.setattr(experiments, "solve_single", fail_third)
         with pytest.raises(SolverFault, match="injected"):
             sparsity_study([1e-4, 1e-3], [1.0, 1e-11], 12, tmp_path)
         header, parsed = read_pairs_csv(tmp_path / "sparsity.csv")
@@ -532,6 +573,12 @@ class TestCli:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 2
             assert "tolerances must be positive" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+        # so does an empty grid, with the grid's own message (the studies'
+        # --n 0 cases are in the next test)
+        for argv in (["solve"], ["table", "mono"]):
+            assert main(argv + ["--n", "0", "--out", str(tmp_path / "out")]) == 2
+            assert "grid needs at least one interior point" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
         # so does a decomposition that the grid cannot hold, which only the
         # solve finds
         for argv in (["--method", "raspen", "--n", "8", "--subdomains", "4x4",
@@ -579,10 +626,13 @@ class TestCli:
         (["sparsity", "--eps-list", ","], "empty numeric list"),
         (["rate", "--tol", "1e-20"], "at least machine epsilon"),
         (["sparsity", "--tol", "1e-20"], "at least machine epsilon"),
+        (["rate", "--kappa", "nan"], "kappa must be finite"),
+        (["sparsity", "--nu", "0"], "nu and mu must be positive"),
     ], ids=["rate-nan-eps", "rate-nan-eps-ref", "sparsity-zero-eps",
             "sparsity-negative-mu", "rate-zero-n", "sparsity-zero-n",
             "rate-bad-eps-list", "sparsity-empty-eps-list",
-            "rate-tol-below-roundoff", "sparsity-tol-below-roundoff"])
+            "rate-tol-below-roundoff", "sparsity-tol-below-roundoff",
+            "rate-nan-kappa", "sparsity-zero-nu"])
     def test_study_config_error_writes_nothing(self, tmp_path, capsys, argv, match):
         out = tmp_path / "out"
         # an --n in argv comes later, so it overrides the 8
