@@ -12,6 +12,8 @@ import math
 import sys
 
 from ..grid import Grid
+from ..krylov import KrylovConfig
+from ..newton import ContinuationSchedule, NewtonConfig
 
 METHODS = ("newton", "newton-eps", "newton-ras", "newton-ras-eps",
            "raspen", "raspen-eps")
@@ -56,33 +58,28 @@ class ExperimentConfig:
                               f"choose from {', '.join(METHODS)}")
         if self.linear_solver not in LINEAR_SOLVERS:
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
-        try:
+        # ahead of the solver objects: a plain method's schedule never sees
+        # eps0, and their tolerance messages name their own fields (rel_tol)
+        if not self.eps0 >= self.eps_min > 0:
+            raise ConfigError("need eps0 >= eps_min > 0")
+        if self.tol <= 0 or self.inner_tol <= 0 or self.gmres_tol <= 0:
+            raise ConfigError("tolerances must be positive")
+        try:  # the grid and solver objects own the n, gamma, sigma and max_outer rules
             Grid(self.n)
+            solver_settings(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.s1 < 1 or self.s2 < 1:
             raise ConfigError("subdomain counts must be at least 1")
         if self.overlap < 0:
             raise ConfigError("overlap must be nonnegative")
-        if not self.eps0 >= self.eps_min > 0:
-            raise ConfigError("need eps0 >= eps_min > 0")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0, 1]")
-        if self.uses_continuation and self.gamma == 1.0 and self.eps0 > self.eps_min:
-            raise ConfigError("gamma = 1 never decays eps0 to eps_min")
-        if self.tol <= 0 or self.inner_tol <= 0 or self.gmres_tol <= 0:
-            raise ConfigError("tolerances must be positive")
         if self.tol < MIN_TOL or self.inner_tol < MIN_TOL:
             raise ConfigError(f"tol and inner_tol must be at least machine "
                               f"epsilon {MIN_TOL:.3g}")
-        if self.sigma < 1.0:
-            raise ConfigError("sigma must be at least 1")
         if self.nu <= 0 or self.mu <= 0:
             raise ConfigError("nu and mu must be positive")
         if self.threads < 0:
             raise ConfigError("threads must be nonnegative")
-        if self.max_outer < 0:
-            raise ConfigError("max_outer must be nonnegative")
         if (self.uses_ras or self.is_raspen) and self.linear_solver == "direct":
             raise ConfigError(f"method {self.method} solves with GMRES; "
                               "a direct linear solver is incompatible")
@@ -102,6 +99,17 @@ class ExperimentConfig:
     @property
     def subdomains(self):
         return f"{self.s1}x{self.s2}"
+
+
+def solver_settings(cfg):
+    """A run's (ContinuationSchedule, NewtonConfig): continuation walks eps0
+    -> eps_min, a plain method sits at eps_min; the GMRES budget is per method."""
+    eps0 = cfg.eps0 if cfg.uses_continuation else cfg.eps_min
+    max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
+    return (ContinuationSchedule(eps0, cfg.gamma, cfg.eps_min),
+            NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
+                         linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol,
+                                                    max_iters=max_iters)))
 
 
 # the flat spelling shared by config files and CLI flags: every field under

@@ -14,15 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from ..grid import Grid
-from ..krylov import KrylovConfig, SolverFault
-from ..newton import (ContinuationSchedule, NewtonConfig, Refined, SolveReport,
-                      newton_continuation)
+from ..krylov import SolverFault
+from ..newton import Refined, SolveReport, newton_continuation
 from ..schwarz import (Lanes, build_local_systems, decompose,
                        ras_preconditioner, raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
                       jacobian, jacobian_operator, recover_control, residual,
                       split_pair, sparsity_target_problem)
-from .config import ExperimentConfig
+from .config import ExperimentConfig, solver_settings
 from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
                       history_rows, report_to_dict, write_csv,
                       write_report_json)
@@ -42,13 +41,6 @@ def build_problem(cfg):
     return grid, spec
 
 
-def schedule_for(cfg):
-    """Continuation methods walk eps0 -> eps_min; plain ones sit at eps_min."""
-    if cfg.uses_continuation:
-        return ContinuationSchedule(cfg.eps0, cfg.gamma, cfg.eps_min)
-    return ContinuationSchedule.fixed(cfg.eps_min)
-
-
 def solve_single(cfg, spec=None, x0=None):
     """Dispatch one solve per the configured method; returns (x, report, spec).
 
@@ -58,13 +50,9 @@ def solve_single(cfg, spec=None, x0=None):
     """
     if spec is None:
         _, spec = build_problem(cfg)
-    sched = schedule_for(cfg)
+    sched, newton_cfg = solver_settings(cfg)
     x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
     decomposed = cfg.uses_ras or cfg.is_raspen
-    max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
-    newton_cfg = NewtonConfig(
-        tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
-        linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters))
     residual_fn = lambda x, eps: residual(x, spec, eps)
     # the Jacobian picks the direction solver: an assembled, ordered one is
     # factored in single precision and refined, an operator goes to GMRES
@@ -150,10 +138,7 @@ def _run_cell(cfg):
 def _cell_config(base, method, eps_min, **extra):
     # plain methods carry a degenerate schedule so the table rows are
     # self-describing; continuation methods keep the configured eps0/gamma
-    if method.endswith("-eps"):
-        eps0 = max(base.eps0, eps_min)
-    else:
-        eps0 = eps_min
+    eps0 = max(base.eps0, eps_min) if method.endswith("-eps") else eps_min
     return replace(base, method=method, eps_min=eps_min, eps0=eps0,
                    linear_solver="auto", **extra)
 

@@ -76,6 +76,8 @@ class NewtonConfig:
             raise ValueError("tol must be positive")
         if self.sigma < 1.0:
             raise ValueError("sigma must be at least 1")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be nonnegative")
 
 
 @dataclass
@@ -178,7 +180,7 @@ class Refined:
     jac: Ordered
 
 
-def float32_lu(jac, splu):
+def float32_lu(jac):
     """Single-precision SuperLU factor of the Ordered jac's stored matrix,
     made like sparse_lu's first try, or None if the factorization raises or
     an entry lies outside the float32 range (without a warning)."""
@@ -187,8 +189,8 @@ def float32_lu(jac, splu):
     if not np.isfinite(single.data).all():
         return None
     try:
-        return splu(single, permc_spec="NATURAL", diag_pivot_thresh=0,
-                    options=dict(SymmetricMode=True))
+        return spla.splu(single, permc_spec="NATURAL", diag_pivot_thresh=0,
+                         options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
 
@@ -238,7 +240,7 @@ def _refined_direction(jac, rhs, held):
             held.clear()
         if d is not None:
             return d
-    lu = float32_lu(jac, spla.splu)
+    lu = float32_lu(jac)
     d = refined_solve(jac, rhs, lu)[0] if lu is not None else None
     if d is not None:
         held.append(lu)

@@ -349,9 +349,9 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
 
     cfg.linear_solver is the outer GMRES's KrylovConfig.  The inner schedule
     comes from sched alone: the first evaluation's subdomain solves (the
-    only ones that start far from their solutions) walk sched.eps0 ->
-    eps_min, and every later evaluation solves them directly at eps_min, so
-    a fixed sched gives no continuation.
+    only ones that start far from their solutions) follow sched, and every
+    later evaluation solves them directly at eps_min (raspen_residual's
+    default schedule), so a fixed sched gives no continuation.
     The outer line search accepts every step (sigma = inf).  Every
     evaluation maps its subdomain solves through lanes, whose next map
     drops the frozen factors of the last one, so one set is alive at a time.
@@ -365,8 +365,7 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
         # they hold the last reference
         state["corr"] = None
         # only the first evaluation starts far from the local solutions
-        eps0 = eps if report.inner_iters else sched.eps0
-        inner_sched = ContinuationSchedule(eps0, sched.gamma, eps)
+        inner_sched = None if report.inner_iters else sched
         f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
                                                inner_sched, systems, lanes)
         report.inner_iters.append(max(r.outer_iters for r in state["corr"].reports))

@@ -1,7 +1,11 @@
 """Configuration, artifact round trips, table protocols, and CLI exit codes."""
 
 import json
+import os
 from dataclasses import asdict, astuple, fields, replace
+from pathlib import Path
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +16,8 @@ from ocp.grid import Grid, NonfiniteFieldError
 from ocp.harness.cli import _config_from_args, build_parser, main
 from ocp.harness.config import (LINEAR_SOLVERS, METHODS, ConfigError,
                                 ExperimentConfig, build_config,
-                                load_config_file, parse_subdomains)
+                                load_config_file, parse_subdomains,
+                                solver_settings)
 import ocp.harness.experiments as experiments
 from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
                                      rate_study, run_single, run_table,
@@ -21,9 +26,9 @@ from ocp.harness.experiments import (EPS_TABLE_MONO, build_problem,
 from ocp.harness.reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS,
                                  BenchmarkRow, history_rows, report_to_dict,
                                  write_csv)
-from ocp.krylov import SolverFault
+from ocp.krylov import KrylovConfig, SolverFault
 import ocp.newton as newton
-from ocp.newton import SolveReport
+from ocp.newton import ContinuationSchedule, SolveReport
 import ocp.schwarz as schwarz
 from ocp.system import Nonlinearity, recover_control, split_pair
 from support import (config_to_text, read_benchmark_csv, read_field_csv,
@@ -159,6 +164,31 @@ class TestConfig:
     def test_rejection(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             build_config(overrides=overrides)
+
+    def test_eps_rules_of_plain_methods(self):
+        with pytest.raises(ConfigError, match="need eps0 >= eps_min > 0"):
+            build_config(overrides={"eps_min": 0.0})
+        # a plain method's schedule never sees eps0, yet the config still
+        # rejects an eps0 below eps_min
+        with pytest.raises(ConfigError, match="need eps0 >= eps_min > 0"):
+            build_config(overrides={"method": "newton", "eps0": 1e-12,
+                                    "eps_min": 1e-3})
+        # gamma = 1 stops only a continuation method
+        cfg = build_config(overrides={"method": "newton", "gamma": 1.0})
+        assert (cfg.method, cfg.gamma, cfg.eps0, cfg.eps_min) == ("newton", 1.0, 1.0, 1e-10)
+        assert solver_settings(cfg)[0] == ContinuationSchedule(1e-10, 1.0, 1e-10)
+
+    @pytest.mark.parametrize("method,budget", [
+        ("newton", 5000), ("newton-eps", 5000), ("newton-ras", 2000),
+        ("newton-ras-eps", 2000), ("raspen", 1000), ("raspen-eps", 1000)])
+    def test_solver_settings(self, method, budget):
+        cfg = mild_config(method=method, s1=2, s2=2, eps0=0.5, gamma=0.3,
+                          tol=1e-9, sigma=1.5, max_outer=7, gmres_tol=1e-7)
+        sched, newton_cfg = solver_settings(cfg)
+        eps0 = 0.5 if method.endswith("-eps") else 1e-3
+        assert sched == ContinuationSchedule(eps0, 0.3, 1e-3)
+        assert (newton_cfg.tol, newton_cfg.max_outer, newton_cfg.sigma) == (1e-9, 7, 1.5)
+        assert newton_cfg.linear_solver == KrylovConfig(rel_tol=1e-7, max_iters=budget)
 
     def test_method_properties(self):
         assert mild_config(method="newton-ras-eps", s1=2, s2=2).uses_ras
@@ -614,6 +644,18 @@ class TestCli:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 2
             assert "gamma = 1 never decays eps0" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_module_entry_point_config_error(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "ocp.harness.cli", "solve", "--n", "0",
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "config error" in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,match", [
         (["rate", "--eps-list", "nan,1e-2"], "eps_list"),

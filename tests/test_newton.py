@@ -46,6 +46,9 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(sigma=0.5)
+    with pytest.raises(ValueError, match="max_outer must be nonnegative"):
+        NewtonConfig(max_outer=-1)
+    assert NewtonConfig(max_outer=0).max_outer == 0
 
 
 def test_linear_problem_converges_in_one_step():
@@ -550,7 +553,7 @@ class TestSparseLU:
 class TestRefinedSolve:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("mu", [1.0, 1e-4])
-    def test_matches_pivoted_lu_on_stiff_jacobians(self, n, mu):
+    def test_matches_pivoted_lu_on_stiff_jacobians(self, n, mu, monkeypatch):
         solves = []
 
         def counting_splu(matrix, **kwargs):
@@ -561,7 +564,10 @@ class TestRefinedSolve:
             if jac.stored.shape[0] < 2 * n * n:
                 continue  # a subdomain's local Jacobian keeps the double factor
             solves.clear()
-            d, taken = refined_solve(jac, rhs, float32_lu(jac, counting_splu))
+            with monkeypatch.context() as patch:
+                patch.setattr(newton, "spla", SimpleNamespace(splu=counting_splu))
+                lu = float32_lu(jac)
+            d, taken = refined_solve(jac, rhs, lu)
             # refinement ends when the residual stops halving, not at the cap
             assert taken == len(solves) < newton.MAX_REFINEMENTS
             d_ref = spla.splu(reference).solve(rhs)
@@ -580,7 +586,7 @@ class TestRefinedSolve:
         mono = [(jac, reference, rhs) for jac, reference, rhs in stiff_jacobians(n, mu)
                 if jac.stored.shape[0] == 2 * n * n]
         for (earlier, _, _), (jac, reference, rhs) in zip(mono, mono[1:]):
-            lu, solves = float32_lu(earlier, spla.splu), []
+            lu, solves = float32_lu(earlier), []
             counting = SimpleNamespace(solve=lambda b: solves.append(b) or lu.solve(b))
             d, taken = refined_solve(jac, rhs, counting)
             assert taken == len(solves)
@@ -751,7 +757,7 @@ class TestRefinedSolve:
         order = np.array([2, 0, 1])
         jac = Ordered(matrix[order][:, order].tocsc(), order, np.argsort(order))
         b = np.array([1e39, 1.0, 1.0])
-        assert float32_lu(jac, spla.splu) is None
+        assert float32_lu(jac) is None
 
         def solve(wrap):
             return newton_continuation(
