@@ -146,11 +146,12 @@ def sparse_lu(jac, splu):
 
     It makes every double-precision Jacobian factor: the state solve's, the
     local factors of RAS and RASPEN, and the fallback of a Refined direction
-    that refinement rejects.  The coupled Jacobians have a symmetric
-    pattern, so the first try is SuperLU's symmetric mode with diagonal
-    pivots, which fills far less than COLAMD with partial pivoting.  An
-    Ordered matrix is factored as stored; any other is ordered by minimum
-    degree on the pattern of A^T + A.  Without pivoting the factor may be
+    that refinement rejects.  These Jacobians have a symmetric pattern, so
+    the first try is SuperLU's symmetric mode with diagonal pivots, which
+    fills far less than COLAMD with partial pivoting.  All of them are
+    Ordered, each in its operator's once-computed order, and are factored
+    as stored; any other matrix is ordered by minimum degree on the
+    pattern of A^T + A at every call.  Without pivoting the factor may be
     inaccurate, so it is kept only if it solves jac z = jac @ ones to a
     relative residual of LU_PROBE_TOL.  Otherwise, or if that factorization
     raises, jac is refactored with splu's defaults and fallbacks is 1; a

@@ -39,7 +39,8 @@ import scipy.sparse.linalg as spla
 from .grid import Grid
 from .newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                      SolverFault, newton_continuation, sparse_lu)
-from .system import PairPattern, pair_jacobian, residual_rows, split_pair
+from .system import (PAIR_DIAGONALS, JacobianPattern, PointOrder, pair_jacobian,
+                     residual_rows, split_pair)
 
 
 class LocalSolveError(SolverFault):
@@ -139,7 +140,7 @@ class LocalSystem:
 
     @cached_property
     def pattern(self):  # built on the first local assembly
-        return PairPattern(self.a_loc)
+        return JacobianPattern(self.a_loc, PointOrder(self.a_loc).points, PAIR_DIAGONALS)
 
 
 def build_local_systems(dec, spec):

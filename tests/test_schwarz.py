@@ -24,8 +24,8 @@ from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
 import ocp.system as system
-from ocp.system import (Nonlinearity, PairPattern, ProblemSpec,
-                        construct_test_problem, jacobian, jacobian_diagonals,
+from ocp.system import (PAIR_DIAGONALS, JacobianPattern, Nonlinearity, PointOrder,
+                        ProblemSpec, construct_test_problem, jacobian, jacobian_diagonals,
                         jacobian_operator, pair_jacobian, residual, split_pair)
 
 
@@ -319,8 +319,9 @@ class TestJacobianPattern:
             lu = spla.splu((a + sp.identity(size)).tocsc(), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0, options=dict(SymmetricMode=True))
             points = np.argsort(lu.perm_c)
+            pattern = JacobianPattern(a, PointOrder(a).points, PAIR_DIAGONALS)
             np.testing.assert_array_equal(
-                PairPattern(a).order, np.column_stack([points, points + size]).ravel())
+                pattern.order, np.column_stack([points, points + size]).ravel())
 
     def test_build_local_systems_factors_nothing(self, monkeypatch):
         def no_splu(matrix, **kwargs):
@@ -334,13 +335,13 @@ class TestJacobianPattern:
         assert all("pattern" not in vars(loc) for loc in systems)
 
     @pytest.mark.parametrize("method,operators", [
-        ("newton-eps", 1), ("newton-ras-eps", 4), ("raspen-eps", 4)])
+        ("newton-eps", 1), ("newton-ras-eps", 5), ("raspen-eps", 5)])
     def test_one_ordering_per_operator_per_solve(self, monkeypatch, method,
                                                  operators):
-        # every operator that is factored, the global one on the direct path
-        # and each local one, is ordered once, on its first assembly, however
-        # many Jacobians the solve assembles; GMRES applies the global
-        # Jacobian matrix-free, so newton-ras-eps orders only its 4 locals
+        # every operator that is factored is ordered once, however many
+        # Jacobians the solve assembles: the global one for the state solve
+        # that builds the problem, whose order its pair pattern reuses on the
+        # direct path, and each of the 4 local ones on its first assembly
         ordered = []
         real = system.spla
 

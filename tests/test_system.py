@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,9 +8,12 @@ import scipy.sparse.linalg as spla
 
 from ocp.grid import Grid, NonfiniteFieldError, build_laplacian
 from ocp.krylov import SolverFault
+import ocp.newton as newton
+from ocp.newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
 from ocp.smoothing import smoothed_projection
-from ocp.system import (EXP_ARG_MAX, Nonlinearity, ProblemSpec,
-                        construct_plateau_problem, construct_test_problem,
+from ocp.system import (EPS_CONSTRUCT, EXP_ARG_MAX, PAIR_DIAGONALS, STATE_TOL,
+                        JacobianPattern, Nonlinearity, PointOrder, ProblemSpec,
+                        _checked, construct_plateau_problem, construct_test_problem,
                         jacobian, jacobian_apply, merge_pair, plateau_profile,
                         recover_control, residual, solve_state,
                         sparsity_target_problem, split_pair)
@@ -69,6 +75,43 @@ class TestNonlinearity:
         s = np.array([0.0, 1e5])
         for term in (phi.value, phi.derivative, phi.second_derivative):
             assert np.all(np.isfinite(term(s)))
+
+    def test_value_matches_pow_within_two_ulp(self):
+        # the cube is a product, not pow: within 2 ulp of the reference,
+        # relative to the size of its terms (they cancel near phi's root),
+        # and the same inf or nan where the reference has one: s^3
+        # overflows beyond |s| = 5.65e102, and the exponent is clamped
+        phi = Nonlinearity(0.1)
+        magnitudes = np.logspace(-100, 150, 2001)
+        s = np.concatenate([magnitudes, -magnitudes, [
+            0.0, -0.0, np.nan, np.inf, -np.inf, 5.6e102, -5.6e102, 5.7e102,
+            -5.7e102, EXP_ARG_MAX / 0.1, EXP_ARG_MAX / 0.1 + 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp = np.exp(np.minimum(0.1 * s, EXP_ARG_MAX))
+            expected = 0.1 * (s ** 3 + exp)
+            scale = 0.1 * (np.abs(s) ** 3 + exp)
+        got = phi.value(s)
+        finite = np.isfinite(expected)
+        np.testing.assert_array_equal(got[~finite], expected[~finite])
+        with np.errstate(invalid="ignore"):
+            overflows = np.abs(s) > np.cbrt(np.finfo(float).max)
+        np.testing.assert_array_equal(np.isinf(got), overflows)
+        assert np.all(np.abs(got[finite] - expected[finite])
+                      <= 2 * np.spacing(scale[finite]))
+        assert np.array_equal(phi.value(np.array([-0.0, 0.0])), [0.1, 0.1])
+
+    def test_checked_flags_clamped_and_nonfinite_entries(self):
+        phi = Nonlinearity(0.1)
+        ok = np.array([-3.0, 0.0, 2.0])
+        values = phi.derivative(ok)
+        assert _checked(phi, ok, values, "phi'(y)") is values
+        for s, bad in [([1.0, EXP_ARG_MAX / 0.1 + 1.0], 1),  # finite, but clamped
+                       ([1.0, -1e200], 1),  # phi' overflows
+                       ([np.nan, 1.0], 0)]:
+            s = np.array(s)
+            with pytest.raises(NonfiniteFieldError, match=r"phi'\(y\)") as info:
+                _checked(phi, s, phi.derivative(s), "phi'(y)")
+            assert info.value.index == bad
 
 
 class TestPairLayout:
@@ -223,6 +266,62 @@ class TestSolveState:
         spec = make_spec(n=4, f=np.full(grid.size, 0.1))
         y = solve_state(np.zeros(grid.size), spec)
         assert np.array_equal(y, np.zeros(grid.size))
+
+    @pytest.mark.parametrize("nu", [1e-2, 1e-8])
+    def test_factors_the_jacobian_in_the_operator_order(self, monkeypatch, nu):
+        # every state Jacobian is an Ordered matrix in the point order that
+        # the pair pattern shares, factored as stored; y is the one Newton on
+        # the natural-order Jacobian gives, ordered by SuperLU at every step
+        spec, (_, p_bar) = construct_test_problem(Grid(16), nu=nu, k_tilde=2)
+        u = recover_control(p_bar, spec, EPS_CONSTRUCT)
+        jacobians, factors = [], []
+        real_lu, real_splu = newton.sparse_lu, newton.spla.splu
+
+        def sparse_lu(jac, splu):
+            jacobians.append(jac)
+            return real_lu(jac, splu)
+
+        def splu(matrix, **kwargs):
+            factors.append(kwargs.get("permc_spec"))
+            return real_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(newton, "sparse_lu", sparse_lu)
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+        y = solve_state(u, spec)
+        assert jacobians and factors == ["NATURAL"] * len(jacobians)
+        for jac in jacobians:
+            assert isinstance(jac, Ordered)
+            np.testing.assert_array_equal(jac.order, spec.ordering.points)
+        monkeypatch.undo()
+
+        def natural_jacobian(y, eps):
+            return (spec.a + sp.diags(spec.phi.derivative(y))).tocsr()
+
+        rhs = spec.f + u
+        y_ref, report = newton_continuation(
+            np.zeros(spec.grid.size), lambda y, eps: spec.a @ y + spec.phi.value(y) - rhs,
+            natural_jacobian, ContinuationSchedule.fixed(1.0), NewtonConfig(tol=STATE_TOL))
+        assert report.converged and report.outer_iters == len(jacobians)
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+    def test_replaced_operator_gets_its_own_order(self):
+        # dataclasses.replace carries the operator's order while a stays
+        spec = make_spec(n=6)
+        assert dataclasses.replace(spec, y_d=spec.y_d + 1.0).ordering is spec.ordering
+        spec.pattern  # cache the pair pattern of spec.a
+        # the same operator with its grid points renumbered orders differently
+        perm = np.random.default_rng(12).permutation(spec.grid.size)
+        other = spec.a[perm][:, perm].tocsr()
+        moved = dataclasses.replace(spec, a=other)
+        assert moved.ordering.a is other
+        points = PointOrder(other).points
+        np.testing.assert_array_equal(moved.ordering.points, points)
+        assert not np.array_equal(points, spec.ordering.points)
+        np.testing.assert_array_equal(
+            moved.pattern.order, JacobianPattern(other, points, PAIR_DIAGONALS).order)
+        u = np.random.default_rng(13).standard_normal(spec.grid.size)
+        y = solve_state(u, moved)
+        assert np.linalg.norm(other @ y + moved.phi.value(y) - u) <= 1e-10
 
     def test_failure_is_a_solver_fault(self):
         # the initial residual overflows; a SolverFault lets the caller
