@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from .krylov import SolverFault
 
 
-class NonfiniteFieldError(ValueError, SolverFault):
+class NonfiniteFieldError(SolverFault):
     """A field operation produced a NaN or Inf entry; inside a solve, a fault."""
 
     def __init__(self, where, index):

@@ -116,7 +116,7 @@ def main(argv=None):
               f"wrote {args.out}/sparsity.csv")
         return 0
     except RuntimeError as exc:
-        # first: a NonfiniteFieldError from the numerics is also a ValueError
+        # every SolverFault, a NonfiniteFieldError from the numerics included
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

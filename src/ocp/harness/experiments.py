@@ -19,8 +19,8 @@ from ..newton import Refined, SolveReport, newton_continuation
 from ..schwarz import (Lanes, build_local_systems, decompose,
                        ras_preconditioner, raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
-                      jacobian, jacobian_operator, recover_control, residual,
-                      split_pair, sparsity_target_problem)
+                      jacobian, recover_control, residual, split_pair,
+                      sparsity_target_problem)
 from .config import ExperimentConfig, solver_settings
 from .reports import (BENCHMARK_COLUMNS, HISTORY_COLUMNS, BenchmarkRow,
                       history_rows, report_to_dict, write_csv,
@@ -54,11 +54,11 @@ def solve_single(cfg, spec=None, x0=None):
     x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
     decomposed = cfg.uses_ras or cfg.is_raspen
     residual_fn = lambda x, eps: residual(x, spec, eps)
-    # the Jacobian picks the direction solver: an assembled, ordered one is
-    # factored in single precision and refined, an operator goes to GMRES
+    # one assembly per step, wrapped for its direction solver: a Refined
+    # Jacobian is factored in single precision and refined, a product is GMRES's
     factored = not decomposed and cfg.linear_solver != "gmres"
-    jacobian_fn = lambda x, eps: (Refined(jacobian(x, spec, eps)) if factored
-                                  else jacobian_operator(x, spec, eps))
+    wrap = Refined if factored else lambda jac: jac.__matmul__
+    jacobian_fn = lambda x, eps: wrap(jacobian(x, spec, eps))
     if not decomposed:
         return (*newton_continuation(x0, residual_fn, jacobian_fn, sched,
                                      newton_cfg), spec)

@@ -2,14 +2,15 @@
 
 The operator and preconditioner are plain callables on vectors.  Preconditioning
 is applied on the left, so the convergence test and the reported residual
-history live in the preconditioned norm; iteration counts must be read with
-that convention in mind.  One Arnoldi cycle without restart, so the residual
-history is non-increasing and directly comparable across runs.  The basis is the
-rows of a (cap + 1, n) array, orthogonalized by classical Gram-Schmidt run twice
-(CGS2: two BLAS-2 passes h = Q w, w -= Q^T h; Giraud, Langou, Rozloznik 2005).
+live in the preconditioned norm; iteration counts must be read with that
+convention in mind.  One Arnoldi cycle without restart, so the residual is
+non-increasing in the iteration cap and directly comparable across runs.  The
+basis is the rows of a (cap + 1, n) array, orthogonalized by classical
+Gram-Schmidt run twice (CGS2: two BLAS-2 passes h = Q w, w -= Q^T h; Giraud,
+Langou, Rozloznik 2005).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +41,10 @@ class GmresResult:
     iters: int
     residual: float
     converged: bool
-    history: list = field(default_factory=list)
 
 
 def gmres(apply_op, b, cfg=None, precond=None, x0=None):
-    """Solve apply_op(x) = b; returns GmresResult with per-iteration residuals.
+    """Solve apply_op(x) = b; returns GmresResult with the final residual.
 
     Convergence: ||M(A x - b)|| <= rel_tol * ||M b|| with M the (optional)
     left preconditioner, within one cycle of at most max_iters steps.  A
@@ -60,11 +60,10 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     threshold = cfg.rel_tol * float(np.linalg.norm(mb))
     r = mb if x0 is None else apply_m(b - apply_op(x))
     beta = float(np.linalg.norm(r))
-    history = [beta]
     if not np.isfinite(beta):
         raise GmresBreakdownError("nonfinite initial residual")
     if beta <= threshold:
-        return GmresResult(x, 0, beta, True, history)
+        return GmresResult(x, 0, beta, True)
 
     max_steps, n = cfg.max_iters, r.shape[0]
     cap = min(32, max_steps)
@@ -117,7 +116,6 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
         h_cols.append(h[:j + 1].copy())
 
         residual = abs(float(g[j + 1]))
-        history.append(residual)
         if residual <= threshold or happy:
             converged = True
             break
@@ -130,4 +128,4 @@ def gmres(apply_op, b, cfg=None, precond=None, x0=None):
     y = np.zeros(steps)
     for i in range(steps - 1, -1, -1):
         y[i] = (g[i] - float(np.dot(rmat[i, i + 1:], y[i + 1:]))) / rmat[i, i]
-    return GmresResult(x + y @ q[:steps], steps, residual, converged, history)
+    return GmresResult(x + y @ q[:steps], steps, residual, converged)

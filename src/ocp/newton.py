@@ -128,7 +128,8 @@ def backtrack(x, d, residual_fn, sigma, current_norm):
 @dataclass(frozen=True)
 class Ordered:
     """A matrix, or its LU factor, stored as M[order][:, order] (position
-    inverts order); products and solves take natural-order vectors."""
+    inverts order); its products (GMRES's operator) and solves take and
+    return natural-order vectors."""
 
     stored: object
     order: np.ndarray

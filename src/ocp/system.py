@@ -228,21 +228,10 @@ def jacobian(x: np.ndarray, spec: ProblemSpec, eps: float) -> Ordered:
     return pair_jacobian(spec.pattern, *split_pair(x), spec, eps)
 
 
-def jacobian_operator(x: np.ndarray, spec: ProblemSpec, eps: float):
-    """d -> F_eps'(x) d without assembly; the diagonals are checked once, here."""
-    dphi_y, b12, b21 = jacobian_diagonals(*split_pair(x), spec, eps)
-
-    def apply(d):
-        dy, dp = split_pair(d)
-        return merge_pair(spec.a @ dy + dphi_y * dy + b12 * dp,
-                          b21 * dy + spec.a @ dp + dphi_y * dp)
-    return apply
-
-
 def jacobian_apply(x: np.ndarray, d: np.ndarray, spec: ProblemSpec,
                    eps: float) -> np.ndarray:
-    """Directional derivative of the residual at x, applied matrix-free."""
-    return jacobian_operator(x, spec, eps)(d)
+    """Directional derivative F_eps'(x) d, a product with the assembled Jacobian."""
+    return jacobian(x, spec, eps) @ d
 
 
 def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:

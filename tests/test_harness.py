@@ -690,8 +690,8 @@ class TestCli:
 
     def test_nonfinite_field_is_solver_failure(self, tmp_path, monkeypatch,
                                                capsys):
-        # NonfiniteFieldError is a ValueError, but an overflow in the
-        # numerics is a solver failure, not a usage error
+        # an overflow in the numerics is a SolverFault only: a solver
+        # failure, not a usage error
         def overflow(cfg, out_dir):
             raise NonfiniteFieldError("phi'(y)", 7)
 
@@ -712,7 +712,7 @@ class TestCli:
     def test_nonfinite_jacobian_on_the_gmres_path_exit_three(self, tmp_path,
                                                              capsys, monkeypatch):
         # newton-ras-eps at 2x2 evaluates phi'' once per step for the
-        # matrix-free global operator, then once per local factor; only the
+        # assembled global Jacobian, then once per local factor; only the
         # second step's global evaluation overflows
         real = Nonlinearity.second_derivative
         calls = []

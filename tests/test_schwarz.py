@@ -26,7 +26,7 @@ from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
 import ocp.system as system
 from ocp.system import (PAIR_DIAGONALS, JacobianPattern, Nonlinearity, PointOrder,
                         ProblemSpec, construct_test_problem, jacobian, jacobian_diagonals,
-                        jacobian_operator, pair_jacobian, residual, split_pair)
+                        pair_jacobian, residual, split_pair)
 
 
 def mild_problem(n):
@@ -361,19 +361,24 @@ class TestJacobianPattern:
 
     @pytest.mark.parametrize("method,linear_solver", [
         ("newton-ras-eps", "auto"), ("newton-eps", "gmres")])
-    def test_gmres_paths_never_assemble_the_global_jacobian(
+    def test_gmres_paths_assemble_the_global_jacobian_once(
             self, monkeypatch, method, linear_solver):
-        def no_jacobian(*args):
-            raise AssertionError("global Jacobian assembled")
+        assembled = []
 
-        for module in (system, experiments):
-            monkeypatch.setattr(module, "jacobian", no_jacobian)
+        def spy(x, spec, eps):
+            assembled.append(eps)
+            return jacobian(x, spec, eps)
+
+        monkeypatch.setattr(experiments, "jacobian", spy)
         cfg = build_config(overrides=dict(method=method, n=16, nu=1e-2, k_tilde=2,
                                           eps_min=1e-3, s1=2, s2=2, overlap=1,
                                           linear_solver=linear_solver))
-        _, report, spec = solve_single(cfg)
+        _, report, _ = solve_single(cfg)
         assert report.converged and report.outer_iters > 1
-        assert "pattern" not in vars(spec)
+        assert all(k is not None for k in report.gmres_iters)
+        # one assembly per Newton step, at that step's eps
+        assert len(assembled) == report.outer_iters
+        assert assembled == report.eps_values[:-1]
 
 
 class TestRasPreconditioner:
@@ -417,7 +422,7 @@ class TestRasPreconditioner:
         with Lanes(2, len(dec)) as lanes:
             x, report = newton_continuation(
                 x0, lambda z, e: residual(z, spec, e, check=False),
-                lambda z, e: jacobian_operator(z, spec, e),
+                lambda z, e: jacobian(z, spec, e).__matmul__,
                 ContinuationSchedule.fixed(1e-2),
                 NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
                 precond_builder=lambda z, e: ras_preconditioner(
@@ -516,7 +521,7 @@ class TestLocalFactorFailure:
         x0 = np.zeros(2 * grid.size)
         x, report = newton_continuation(
             x0, lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian_operator(z, spec, e), ContinuationSchedule.fixed(1e-2),
+            lambda z, e: jacobian(z, spec, e).__matmul__, ContinuationSchedule.fixed(1e-2),
             NewtonConfig(linear_solver=KrylovConfig()),
             precond_builder=lambda z, e: ras(z, dec, spec, e))
         assert not report.converged

@@ -14,8 +14,8 @@ from ocp.smoothing import smoothed_projection
 from ocp.system import (EPS_CONSTRUCT, EXP_ARG_MAX, PAIR_DIAGONALS, STATE_TOL,
                         JacobianPattern, Nonlinearity, PointOrder, ProblemSpec,
                         _checked, construct_plateau_problem, construct_test_problem,
-                        jacobian, jacobian_apply, merge_pair, plateau_profile,
-                        recover_control, residual, solve_state,
+                        jacobian, jacobian_apply, jacobian_diagonals, merge_pair,
+                        plateau_profile, recover_control, residual, solve_state,
                         sparsity_target_problem, split_pair)
 from support import objective, penalty_antiderivative
 
@@ -178,7 +178,10 @@ class TestJacobian:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2 * spec.grid.size)
         d = rng.standard_normal(2 * spec.grid.size)
-        assembled = jacobian(x, spec, 1e-2) @ d
+        # the block formula [[A + D1, D12], [D21, A + D1]] in natural order
+        dphi_y, b12, b21 = jacobian_diagonals(*split_pair(x), spec, 1e-2)
+        a11 = spec.a + sp.diags(dphi_y)
+        assembled = sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]]) @ d
         assert np.allclose(jacobian_apply(x, d, spec, 1e-2), assembled,
                            rtol=1e-13, atol=1e-10)
 
