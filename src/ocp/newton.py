@@ -143,26 +143,23 @@ class Ordered:
 
 
 def sparse_lu(jac, splu):
-    """SuperLU factor of a sparse or Ordered jac; returns (factor, fallbacks).
+    """Ordered SuperLU factor of the Ordered jac; returns (factor, fallbacks).
 
     It makes every double-precision Jacobian factor: the state solve's, the
     local factors of RAS and RASPEN, and the fallback of a Refined direction
-    that refinement rejects.  These Jacobians have a symmetric pattern, so
-    the first try is SuperLU's symmetric mode with diagonal pivots, which
-    fills far less than COLAMD with partial pivoting.  All of them are
-    Ordered, each in its operator's once-computed order, and are factored
-    as stored; any other matrix is ordered by minimum degree on the
-    pattern of A^T + A at every call.  Without pivoting the factor may be
-    inaccurate, so it is kept only if it solves jac z = jac @ ones to a
-    relative residual of LU_PROBE_TOL.  Otherwise, or if that factorization
-    raises, jac is refactored with splu's defaults and fallbacks is 1; a
-    singular jac raises from there.
+    that refinement rejects.  Each of them is stored in its pattern's
+    fill-reducing order, so it is factored as stored, in SuperLU's
+    symmetric mode with diagonal pivots, which fills far less than COLAMD
+    with partial pivoting.  Without pivoting the factor may be inaccurate,
+    so it is kept only if it solves jac z = jac @ ones to a relative
+    residual of LU_PROBE_TOL.  Otherwise, or if that factorization raises,
+    the stored matrix is refactored with splu's defaults and fallbacks is
+    1; a singular jac raises from there.
     """
-    ordered = isinstance(jac, Ordered)
-    matrix = jac.stored if ordered else jac.tocsc()
+    matrix = jac.stored
     try:
-        lu = splu(matrix, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        lu = splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0,
+                  options=dict(SymmetricMode=True))
         b = matrix @ np.ones(matrix.shape[0])
         with np.errstate(all="ignore"):
             probe = np.linalg.norm(matrix @ lu.solve(b) - b) / np.linalg.norm(b)
@@ -172,7 +169,7 @@ def sparse_lu(jac, splu):
     if fallbacks:
         lu = None  # free the rejected factor before making its replacement
         lu = splu(matrix)
-    return (Ordered(lu, jac.order, jac.position) if ordered else lu), fallbacks
+    return Ordered(lu, jac.order, jac.position), fallbacks
 
 
 @dataclass(frozen=True)
@@ -252,10 +249,10 @@ def _refined_direction(jac, rhs, held):
 def _solve_direction(jac, rhs, krylov, precond, report, held):
     """Newton direction and GMRES iterations: GMRES on a callable jac, the
     refined single-precision solve on a Refined one (on the factor in held
-    until it misses or goes stale), else the guarded sparse LU
-    (iterations None).  A Refined direction that no fresh float32 factor
-    gives is counted in report and solved by the guarded LU, whose fallback
-    counts too; a held factor that misses is not counted."""
+    until it misses or goes stale), else the guarded sparse LU of the
+    Ordered jac (iterations None).  A Refined direction that no fresh
+    float32 factor gives is counted in report and solved by the guarded LU,
+    whose fallback counts too; a held factor that misses is not counted."""
     if callable(jac):
         result = gmres(jac, rhs, krylov, precond=precond)
         if not result.converged:
@@ -281,10 +278,11 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
                         report=None):
     """Damped Newton on F_eps with the eps-continuation schedule.
 
-    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> sparse matrix (LU),
-    Refined matrix (refined float32 LU, whose factor the solve holds for
-    later directions until refinement on it misses the floor or takes more
-    than REFRESH_SOLVES solves) or callable v -> J v (GMRES);
+    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> an Ordered
+    matrix (guarded LU), a Refined one (refined float32 LU, whose factor the
+    solve holds for later directions until refinement on it misses the
+    floor or takes more than REFRESH_SOLVES solves) or a callable
+    v -> J v (GMRES);
     precond_builder(x, eps) -> left preconditioner callable, rebuilt every
     outer iteration.  The solve fills report (a new SolveReport by default),
     to which callbacks may add counts.

@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 from .grid import Grid
 from .newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                      SolverFault, newton_continuation, sparse_lu)
-from .system import (PAIR_DIAGONALS, JacobianPattern, PointOrder, pair_jacobian,
+from .system import (PAIR_DIAGONALS, JacobianPattern, pair_jacobian,
                      residual_rows, split_pair)
 
 
@@ -140,7 +140,7 @@ class LocalSystem:
 
     @cached_property
     def pattern(self):  # built on the first local assembly
-        return JacobianPattern(self.a_loc, PointOrder(self.a_loc).points, PAIR_DIAGONALS)
+        return JacobianPattern(self.a_loc, PAIR_DIAGONALS)
 
 
 def build_local_systems(dec, spec):

@@ -13,7 +13,7 @@ through the stationarity identity p + nu u + mu P_eps(-p/mu) = 0.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -91,8 +91,6 @@ class ProblemSpec:
     mu: float
     f: np.ndarray
     y_d: np.ndarray
-    # a's point order; dataclasses.replace carries it while a stays the same
-    ordering: PointOrder | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nu <= 0.0 or self.mu <= 0.0:
@@ -100,12 +98,10 @@ class ProblemSpec:
         n2 = self.grid.size
         if self.a.shape != (n2, n2) or self.f.shape != (n2,) or self.y_d.shape != (n2,):
             raise ValueError("operator and data shapes do not match the grid")
-        if self.ordering is None or self.ordering.a is not self.a:
-            object.__setattr__(self, "ordering", PointOrder(self.a))
 
     @cached_property
     def pattern(self):  # built on the first assembly
-        return JacobianPattern(self.a, self.ordering.points, PAIR_DIAGONALS)
+        return JacobianPattern(self.a, PAIR_DIAGONALS)
 
 
 def merge_pair(y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -153,27 +149,6 @@ def residual(x: np.ndarray, spec: ProblemSpec, eps: float,
     return check_finite(out, "residual") if check else out
 
 
-class PointOrder:
-    """An operator's grid points in SuperLU's symmetric-mode minimum-degree
-    order on a + I, found on first use and shared by all of its Jacobians.
-
-    SuperLU fixes that order before its numeric phase, so it is read off an
-    incomplete factor that drops every off-diagonal entry: the same perm_c
-    as a complete factor's, at a third of its cost.
-    """
-
-    def __init__(self, a):
-        self.a = a
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        n = self.a.shape[0]
-        ilu = spla.spilu((self.a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0, options=dict(SymmetricMode=True),
-                         drop_tol=np.inf, fill_factor=1)
-        return np.argsort(ilu.perm_c)  # perm_c[k] is the position of point k
-
-
 # the (row, column) blocks of a Jacobian's changing diagonals
 STATE_DIAGONALS = ((0, 0),)  # A + diag(phi'(y))
 PAIR_DIAGONALS = ((0, 0), (1, 1), (0, 1), (1, 0))  # [[a + D1, D12], [D21, a + D1]]
@@ -181,13 +156,23 @@ PAIR_DIAGONALS = ((0, 0), (1, 1), (0, 1), (1, 0))  # [[a + D1, D12], [D21, a + D
 
 class JacobianPattern:
     """Fixed pattern of a Jacobian with a in each diagonal block and a
-    changing diagonal in each block of diagonals, stored in the given point
-    order with each grid point's unknowns adjacent; only the diagonals
-    change between assemblies, which write their values into diag_slots.
+    changing diagonal in each block of diagonals, stored in a's point order
+    with each grid point's unknowns adjacent; only the diagonals change
+    between assemblies, which write their values into diag_slots.
+
+    The point order is SuperLU's symmetric-mode minimum-degree order on
+    a + I, so every pattern of one operator, state or pair, has the same
+    one.  SuperLU fixes that order before its numeric phase, so it is read
+    off an incomplete factor that drops every off-diagonal entry: the same
+    perm_c as a complete factor's, at a third of its cost.
     """
 
-    def __init__(self, a, points, diagonals):
+    def __init__(self, a, diagonals):
         n, blocks = a.shape[0], 1 + max(max(block) for block in diagonals)
+        # perm_c[k] is the position of point k; the factor is freed at once
+        points = np.argsort(spla.spilu(
+            (a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options=dict(SymmetricMode=True), drop_tol=np.inf, fill_factor=1).perm_c)
         self.order = (points[:, None] + n * np.arange(blocks)).ravel()
         self.position = np.argsort(self.order)
         coo, k, size = a.tocoo(), np.arange(n), blocks * n
@@ -242,11 +227,12 @@ def recover_control(p: np.ndarray, spec: ProblemSpec, eps: float) -> np.ndarray:
 def solve_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Solve the semilinear state equation A y + phi(y) = f + u.
 
-    The Jacobian A + diag(phi'(y)) is assembled in spec.ordering's point
-    order, which the pair pattern of the same operator reuses.
+    The Jacobian A + diag(phi'(y)) is assembled on its own pattern of
+    spec.a, ordered once for the whole solve, in the point order that the
+    pair pattern of the same operator has.
     """
     rhs = spec.f + u
-    pattern = JacobianPattern(spec.a, spec.ordering.points, STATE_DIAGONALS)
+    pattern = JacobianPattern(spec.a, STATE_DIAGONALS)
 
     def state_residual(y, eps):
         return spec.a @ y + spec.phi.value(y) - rhs

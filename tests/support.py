@@ -1,8 +1,9 @@
 """Reference helpers that only the tests need.
 
 The solvers never evaluate the L1 cost functional, so its smoothed
-antiderivative and the objective live here, as does the inverse of each
-artifact writer that the round-trip tests read back.
+antiderivative and the objective live here, as do the inverse of each
+artifact writer that the round-trip tests read back and the natural-order
+matrices that the solver tests hand to the Newton core or compare against.
 """
 
 import csv
@@ -13,11 +14,26 @@ from typing import get_args
 
 import numpy as np
 from scipy import integrate
+import scipy.sparse as sp
 
 from ocp.harness.config import FLAT_KEYS
 from ocp.harness.reports import BenchmarkRow
+from ocp.newton import Ordered
 from ocp.smoothing import penalty_derivative
-from ocp.system import solve_state
+from ocp.system import jacobian_diagonals, solve_state
+
+
+def natural(matrix):
+    """matrix as an Ordered Jacobian stored in its natural order."""
+    order = np.arange(matrix.shape[0])
+    return Ordered(sp.csc_matrix(matrix), order, order)
+
+
+def block_jacobian(a, y, p, spec, eps):
+    """Reference assembly of the pair Jacobian, block by block in natural order."""
+    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
+    a11 = a + sp.diags(dphi_y)
+    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csc")
 
 
 def penalty_antiderivative(x, eps, ratio, quad_tol=1e-10):

@@ -18,8 +18,10 @@ from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
-from ocp.system import (construct_test_problem, jacobian, jacobian_diagonals,
-                        pair_jacobian, residual, split_pair)
+from ocp.system import (construct_test_problem, jacobian, pair_jacobian, residual,
+                        split_pair)
+
+from support import block_jacobian, natural
 
 
 def test_schedule_validation():
@@ -56,7 +58,7 @@ def test_linear_problem_converges_in_one_step():
     a = sp.csr_matrix(np.eye(8) + 0.1 * rng.standard_normal((8, 8)))
     b = rng.standard_normal(8)
     x, report = newton_continuation(
-        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a,
+        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert report.converged
     assert report.outer_iters == 1
@@ -84,7 +86,7 @@ def test_eps_path_follows_schedule_to_floor():
     # has to walk eps down to the floor before it may declare convergence
     sched = ContinuationSchedule(eps0=1.0, gamma=0.2, eps_min=1e-10)
     x, report = newton_continuation(
-        np.ones(3), lambda x, eps: x.copy(), lambda x, eps: sp.identity(3, format="csr"),
+        np.ones(3), lambda x, eps: x.copy(), lambda x, eps: natural(sp.identity(3)),
         sched, NewtonConfig())
     assert report.converged
     expected = [max(0.2 ** k, 1e-10) for k in range(16)]
@@ -96,7 +98,7 @@ def test_eps_path_follows_schedule_to_floor():
 def test_no_early_convergence_above_eps_floor():
     sched = ContinuationSchedule(eps0=1.0, gamma=0.5, eps_min=0.25)
     x, report = newton_continuation(
-        np.ones(2), lambda x, eps: x.copy(), lambda x, eps: sp.identity(2, format="csr"),
+        np.ones(2), lambda x, eps: x.copy(), lambda x, eps: natural(sp.identity(2)),
         sched, NewtonConfig())
     assert report.converged
     assert report.eps_values == [1.0, 0.5, 0.25]
@@ -142,7 +144,7 @@ def test_damping_engages_on_arctan():
         return np.arctan(x)
 
     def jac(x, eps):
-        return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+        return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
 
     x, report = newton_continuation(
         np.array([2.0]), residual, jac, ContinuationSchedule.fixed(1e-10),
@@ -157,7 +159,7 @@ def test_accepted_norms_respect_sigma():
         return np.arctan(x)
 
     def jac(x, eps):
-        return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+        return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
 
     _, report = newton_continuation(
         np.array([2.0]), residual, jac, ContinuationSchedule.fixed(1e-10),
@@ -173,7 +175,7 @@ def test_threshold_frozen_at_initial_residual():
     a = sp.csr_matrix(np.eye(4) + 0.05 * rng.standard_normal((4, 4)))
     b = 100.0 * rng.standard_normal(4)
     _, report = newton_continuation(
-        np.zeros(4), lambda x, eps: a @ x - b, lambda x, eps: a,
+        np.zeros(4), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
         ContinuationSchedule.fixed(1.0), NewtonConfig(tol=1e-10))
     assert report.threshold == pytest.approx(1e-10 * np.linalg.norm(b), rel=1e-12)
 
@@ -181,7 +183,8 @@ def test_threshold_frozen_at_initial_residual():
 def test_max_outer_reports_failure():
     # gradient flow that never reaches tol within the allowed iterations
     x, report = newton_continuation(
-        np.ones(1), lambda x, eps: x ** 3 + 1e-3, lambda x, eps: sp.csr_matrix([[3.0 * float(x[0]) ** 2]]),
+        np.ones(1), lambda x, eps: x ** 3 + 1e-3,
+        lambda x, eps: natural(np.array([[3.0 * float(x[0]) ** 2]])),
         ContinuationSchedule.fixed(1.0), NewtonConfig(max_outer=2))
     assert not report.converged
     assert "outer iterations" in report.failure
@@ -189,7 +192,7 @@ def test_max_outer_reports_failure():
 
 def test_singular_jacobian_reports_linear_failure():
     x, report = newton_continuation(
-        np.ones(1), lambda x, eps: x.copy(), lambda x, eps: sp.csr_matrix((1, 1)),
+        np.ones(1), lambda x, eps: x.copy(), lambda x, eps: natural(np.zeros((1, 1))),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure.startswith("sparse factorization failed")
@@ -201,7 +204,7 @@ def test_run_is_deterministic():
         return np.arctan(x) + eps * x
 
     def jac(x, eps):
-        return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2) + eps]]))
+        return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2) + eps]]))
 
     sched = ContinuationSchedule(1.0, 0.2, 1e-8)
     runs = [newton_continuation(np.array([2.0]), residual, jac, sched, NewtonConfig())
@@ -218,7 +221,7 @@ def test_nonfinite_initial_guess_rejected():
                             # the norm of a finite residual may still overflow
                             (np.zeros(2), lambda x, eps: np.full(2, 1e300))):
         x, report = newton_continuation(
-            x0, residual_fn, lambda x, eps: sp.identity(x.size, format="csr"),
+            x0, residual_fn, lambda x, eps: natural(sp.identity(x.size)),
             ContinuationSchedule.fixed(1.0), NewtonConfig())
         assert not report.converged
         assert report.failure == "nonfinite residual at the initial guess"
@@ -246,7 +249,7 @@ def counted_arctan(calls, fail_at=None):
 
 
 def arctan_jacobian(x, eps):
-    return sp.csr_matrix(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
+    return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
 
 
 def test_fixed_eps_reuses_accepted_trial():
@@ -390,13 +393,6 @@ def test_stiff_block_solves_without_warnings(mu):
     assert min(report.alphas) < 1.0
 
 
-def block_jacobian(a, y, p, spec, eps):
-    """Reference assembly of the pair Jacobian, block by block in natural order."""
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
-    a11 = a + sp.diags(dphi_y)
-    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csc")
-
-
 def stiff_jacobians(n, mu):
     """Monolithic and 2x2 local Jacobians along a continuation solve of the
     stiff sweep block nu=1e-8, each with its natural-order reference and the
@@ -470,13 +466,13 @@ class TestSparseLU:
     ], ids=["inaccurate", "nonfinite", "raises"])
     def test_failed_probe_falls_back_to_default(self, spoil):
         rng = np.random.default_rng(3)
-        jac = sp.csc_matrix(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
+        jac = natural(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
         rhs = rng.standard_normal(6)
         splu, calls = self.spoiled_splu(spoil)
         lu, fallbacks = sparse_lu(jac, splu)
         assert fallbacks == 1
         assert len(calls) == 2 and calls[1] == {}
-        np.testing.assert_array_equal(lu.solve(rhs), spla.splu(jac).solve(rhs))
+        np.testing.assert_array_equal(lu.solve(rhs), spla.splu(jac.stored).solve(rhs))
 
     def test_fallback_is_counted_and_changes_nothing(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -486,7 +482,7 @@ class TestSparseLU:
         def solve(splu):
             monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
             return newton_continuation(
-                np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a,
+                np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
                 ContinuationSchedule.fixed(1.0), NewtonConfig())
 
         # the default path: splu's own ordering and pivoting on every call
@@ -514,9 +510,9 @@ class TestSparseLU:
         np.testing.assert_array_equal(lu.solve(rhs), expected)
 
     def test_singular_matrix_raises_like_splu(self):
-        jac = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]))
+        jac = natural(np.diag([1.0, 0.0, 2.0]))
         with pytest.raises(RuntimeError) as expected:
-            spla.splu(jac)
+            spla.splu(jac.stored)
         with pytest.raises(RuntimeError) as got:
             sparse_lu(jac, spla.splu)
         assert str(got.value) == str(expected.value)

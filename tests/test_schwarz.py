@@ -24,9 +24,11 @@ from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
                          raspen_jacobian_apply, raspen_residual, raspen_solve)
 import ocp.system as system
-from ocp.system import (PAIR_DIAGONALS, JacobianPattern, Nonlinearity, PointOrder,
-                        ProblemSpec, construct_test_problem, jacobian, jacobian_diagonals,
-                        pair_jacobian, residual, split_pair)
+from ocp.system import (PAIR_DIAGONALS, STATE_DIAGONALS, JacobianPattern, Nonlinearity,
+                        ProblemSpec, construct_test_problem, jacobian, pair_jacobian,
+                        residual, split_pair)
+
+from support import block_jacobian
 
 
 def mild_problem(n):
@@ -80,13 +82,6 @@ def owned(sub):
 def rect(idx, n):
     """(rows, cols) half-open ranges of the rectangle that flat indices idx cover."""
     return ((idx.min() // n, idx.max() // n + 1), (idx.min() % n, idx.max() % n + 1))
-
-
-def block_jacobian(a, y, p, spec, eps):
-    """Reference assembly of the pair Jacobian, block by block in natural order."""
-    dphi_y, b12, b21 = jacobian_diagonals(y, p, spec, eps)
-    a11 = a + sp.diags(dphi_y)
-    return sp.bmat([[a11, sp.diags(b12)], [sp.diags(b21), a11]], format="csr")
 
 
 def to_natural(jac):
@@ -319,9 +314,23 @@ class TestJacobianPattern:
             lu = spla.splu((a + sp.identity(size)).tocsc(), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0, options=dict(SymmetricMode=True))
             points = np.argsort(lu.perm_c)
-            pattern = JacobianPattern(a, PointOrder(a).points, PAIR_DIAGONALS)
+            pattern = JacobianPattern(a, PAIR_DIAGONALS)
             np.testing.assert_array_equal(
                 pattern.order, np.column_stack([points, points + size]).ravel())
+
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_state_and_pair_patterns_share_the_point_order(self, n):
+        # the manufactured y_d comes from a state solve on the state pattern
+        # and is then read against pair Jacobians: both orders must agree
+        grid = Grid(n)
+        zeros = np.zeros(grid.size)
+        spec = ProblemSpec(grid, build_laplacian(grid), Nonlinearity(), 1.0, 1.0,
+                           zeros, zeros)
+        local = build_local_systems(decompose(grid, 2, 2, 1), spec)[0].a_loc
+        for a in (spec.a, local):
+            np.testing.assert_array_equal(
+                JacobianPattern(a, STATE_DIAGONALS).order,
+                JacobianPattern(a, PAIR_DIAGONALS).order[0::2])
 
     def test_build_local_systems_factors_nothing(self, monkeypatch):
         def no_splu(matrix, **kwargs):
@@ -334,14 +343,14 @@ class TestJacobianPattern:
         # the patterns are left to the first assembly
         assert all("pattern" not in vars(loc) for loc in systems)
 
-    @pytest.mark.parametrize("method,operators", [
-        ("newton-eps", 1), ("newton-ras-eps", 5), ("raspen-eps", 5)])
-    def test_one_ordering_per_operator_per_solve(self, monkeypatch, method,
-                                                 operators):
-        # every operator that is factored is ordered once, however many
-        # Jacobians the solve assembles: the global one for the state solve
-        # that builds the problem, whose order its pair pattern reuses on the
-        # direct path, and each of the 4 local ones on its first assembly
+    @pytest.mark.parametrize("method,patterns", [
+        ("newton-eps", 2), ("newton-ras-eps", 6), ("raspen-eps", 5)])
+    def test_one_ordering_per_pattern_per_solve(self, monkeypatch, method, patterns):
+        # every pattern is ordered once, however many Jacobians the solve
+        # assembles on it: the global state pattern of the state solve that
+        # builds the problem, the global pair pattern on the first global
+        # assembly (direct and RAS paths; RASPEN assembles none), and each of
+        # the 4 local pair patterns on its first assembly
         ordered = []
         real = system.spla
 
@@ -357,7 +366,7 @@ class TestJacobianPattern:
                                           eps_min=1e-3, s1=2, s2=2, overlap=1))
         _, report, _ = solve_single(cfg)
         assert report.converged and report.outer_iters > 1
-        assert len(ordered) == operators
+        assert len(ordered) == patterns
 
     @pytest.mark.parametrize("method,linear_solver", [
         ("newton-ras-eps", "auto"), ("newton-eps", "gmres")])

@@ -11,13 +11,13 @@ from ocp.krylov import SolverFault
 import ocp.newton as newton
 from ocp.newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
 from ocp.smoothing import smoothed_projection
-from ocp.system import (EPS_CONSTRUCT, EXP_ARG_MAX, PAIR_DIAGONALS, STATE_TOL,
-                        JacobianPattern, Nonlinearity, PointOrder, ProblemSpec,
+from ocp.system import (EPS_CONSTRUCT, EXP_ARG_MAX, PAIR_DIAGONALS, STATE_DIAGONALS,
+                        STATE_TOL, JacobianPattern, Nonlinearity, ProblemSpec,
                         _checked, construct_plateau_problem, construct_test_problem,
                         jacobian, jacobian_apply, jacobian_diagonals, merge_pair,
                         plateau_profile, recover_control, residual, solve_state,
                         sparsity_target_problem, split_pair)
-from support import objective, penalty_antiderivative
+from support import natural, objective, penalty_antiderivative
 
 
 def make_spec(n=4, kappa=0.1, nu=1e-6, mu=1.0, f=None, y_d=None):
@@ -272,9 +272,9 @@ class TestSolveState:
 
     @pytest.mark.parametrize("nu", [1e-2, 1e-8])
     def test_factors_the_jacobian_in_the_operator_order(self, monkeypatch, nu):
-        # every state Jacobian is an Ordered matrix in the point order that
-        # the pair pattern shares, factored as stored; y is the one Newton on
-        # the natural-order Jacobian gives, ordered by SuperLU at every step
+        # every state Jacobian is an Ordered matrix in the operator's point
+        # order, factored as stored; y is the one Newton gives on the
+        # Jacobian stored and factored in natural order
         spec, (_, p_bar) = construct_test_problem(Grid(16), nu=nu, k_tilde=2)
         u = recover_control(p_bar, spec, EPS_CONSTRUCT)
         jacobians, factors = [], []
@@ -292,13 +292,14 @@ class TestSolveState:
         monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
         y = solve_state(u, spec)
         assert jacobians and factors == ["NATURAL"] * len(jacobians)
+        order = JacobianPattern(spec.a, STATE_DIAGONALS).order
         for jac in jacobians:
             assert isinstance(jac, Ordered)
-            np.testing.assert_array_equal(jac.order, spec.ordering.points)
+            np.testing.assert_array_equal(jac.order, order)
         monkeypatch.undo()
 
         def natural_jacobian(y, eps):
-            return (spec.a + sp.diags(spec.phi.derivative(y))).tocsr()
+            return natural(spec.a + sp.diags(spec.phi.derivative(y)))
 
         rhs = spec.f + u
         y_ref, report = newton_continuation(
@@ -308,20 +309,15 @@ class TestSolveState:
         assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
     def test_replaced_operator_gets_its_own_order(self):
-        # dataclasses.replace carries the operator's order while a stays
         spec = make_spec(n=6)
-        assert dataclasses.replace(spec, y_d=spec.y_d + 1.0).ordering is spec.ordering
         spec.pattern  # cache the pair pattern of spec.a
         # the same operator with its grid points renumbered orders differently
         perm = np.random.default_rng(12).permutation(spec.grid.size)
         other = spec.a[perm][:, perm].tocsr()
         moved = dataclasses.replace(spec, a=other)
-        assert moved.ordering.a is other
-        points = PointOrder(other).points
-        np.testing.assert_array_equal(moved.ordering.points, points)
-        assert not np.array_equal(points, spec.ordering.points)
-        np.testing.assert_array_equal(
-            moved.pattern.order, JacobianPattern(other, points, PAIR_DIAGONALS).order)
+        order = JacobianPattern(other, PAIR_DIAGONALS).order
+        np.testing.assert_array_equal(moved.pattern.order, order)
+        assert not np.array_equal(order, spec.pattern.order)
         u = np.random.default_rng(13).standard_normal(spec.grid.size)
         y = solve_state(u, moved)
         assert np.linalg.norm(other @ y + moved.phi.value(y) - u) <= 1e-10
