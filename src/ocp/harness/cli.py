@@ -9,6 +9,7 @@ study).  Exit codes: 0 success, 2 configuration error, 3 solver failure,
 import argparse
 import sys
 
+from ..krylov import SolverFault
 from .config import FLAT_KEYS, ConfigError, build_config, load_config_file, parse_flat
 from .experiments import rate_study, run_single, run_table, sparsity_study
 
@@ -115,8 +116,7 @@ def main(argv=None):
         print(f"sparsity study n={args.n}: {len(rows)} cells; "
               f"wrote {args.out}/sparsity.csv")
         return 0
-    except RuntimeError as exc:
-        # every SolverFault, a NonfiniteFieldError from the numerics included
+    except SolverFault as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

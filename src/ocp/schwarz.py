@@ -14,20 +14,16 @@ executors through which every subdomain map of the solve runs: the RAS
 build's local factors and RASPEN's local corrections with their frozen
 factors.  Subdomain i always runs on lane i mod their number.  SuperLU frees
 a factor's storage only on the thread that made it (dropped on another
-thread, the storage leaks), so the lanes own what their tasks return: a
-map's results stay on the lanes until the next map or the close of the
-lanes, which drop them there, and callers only borrow them.  A caller drops
-its own references before the next map.  Recombination writes are disjoint
-by the ownership partition, so results do not depend on thread scheduling.
-
-The RAS apply and the RASPEN matvec run their local triangular solves
-sequentially on the calling thread.  On a 2-core host, 100 applies with the
-four local factors of the n=100, 2x2 stiff RAS benchmark (400 solves) ran
-0.85-1.10x as fast (median 0.91x) on 2 lanes as sequentially, and an empty
-map of 4 tasks costs about 0.13 ms.
+thread, the storage leaks), so only the lanes hold factors: a map's tasks
+store them on their lanes until the next map or the close, callers get
+vectors, and a use of the store after either raises.  Recombination writes
+are disjoint by the ownership partition, so results do not depend on thread
+scheduling.  The RAS apply and the RASPEN matvec run their local triangular
+solves on the calling thread: on 2 lanes the ras-stiff benchmark's 400 local
+solves ran at a median 0.91x of that speed.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 import os
@@ -176,23 +172,24 @@ def _local_problem(loc, spec, x):
 
 
 def _factor_at(i, loc, v, spec, eps):
-    """(Jacobian, LU, LU fallbacks) of subdomain i at v, assembled right before the LU."""
+    """Map task: subdomain i's LU fallbacks and (Jacobian, LU) at v."""
     jac_loc = pair_jacobian(loc.pattern, *split_pair(v), spec, eps)
     try:
-        return jac_loc, *sparse_lu(jac_loc, spla.splu)
+        lu, fallbacks = sparse_lu(jac_loc, spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
+    return fallbacks, (jac_loc, lu)
 
 
 def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
-    """Frozen-exterior Newton solve on subdomain i, then the LU at its result."""
+    """Map task: frozen-exterior Newton solve on subdomain i, then the LU at its result."""
     res, jac = _local_problem(loc, spec, x)
     v, report = newton_continuation(x[sub.pair_idx], res, jac, sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
-    jac_loc, lu, fallbacks = _factor_at(i, loc, v, spec, eps)
+    fallbacks, entry = _factor_at(i, loc, v, spec, eps)
     report.lu_fallbacks += fallbacks
-    return v, jac_loc, lu, report
+    return (v, report), entry
 
 
 def usable_cpus():
@@ -202,18 +199,24 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
+def _store(share, i, fn, item):
+    result, share[i] = fn(*item)
+    return result
+
+
 class Lanes:
     """Owner lanes of one Schwarz solve (see above), closed at the end of a
     with block: min(workers, tasks) single-thread executors, where threads=0
     means one worker per subdomain, up to usable_cpus(), and a single worker
-    maps on the calling thread.
+    maps on the calling thread.  generation counts the store's drops.
     """
 
     def __init__(self, threads, tasks):
         workers = min(threads or usable_cpus(), tasks)
         self._lanes = [] if workers == 1 else [ThreadPoolExecutor(max_workers=1)
                                                for _ in range(workers)]
-        self._held = []
+        self._shares = [{} for _ in range(workers)]
+        self.generation = 0
 
     def __enter__(self):
         return self
@@ -224,34 +227,34 @@ class Lanes:
             lane.shutdown()
 
     def _drop(self):
-        shares, self._held = self._held, []
-        for future in [lane.submit(share.clear)
-                       for lane, share in zip(self._lanes, shares)]:
-            future.result()
+        self.generation += 1
+        if not self._lanes:
+            self._shares[0].clear()
+        wait([lane.submit(share.clear) for lane, share in zip(self._lanes, self._shares)])
 
     def map(self, fn, items):
-        """[fn(*item) for item in items], item i on lane i % len(lanes).
+        """Results of fn(*item) for item in items, item i on lane i % len(lanes).
 
-        The previous map's results are dropped first.  If a task raises,
-        the others' results are kept all the same and the exception of the
-        first failing item is raised.
+        fn returns (result, entry); item i's task stores entry as subdomain
+        i's in its lane's share, once the last map's entries are dropped.
+        The first failing item's exception is raised, on lanes once all end.
         """
         self._drop()
         if not self._lanes:
-            self._held = [[fn(*item) for item in items]]
-            return self._held[0][:]
+            return [_store(self._shares[0], i, fn, item) for i, item in enumerate(items)]
         n = len(self._lanes)
-        futures = [self._lanes[i % n].submit(fn, *item)
+        futures = [self._lanes[i % n].submit(_store, self._shares[i % n], i, fn, item)
                    for i, item in enumerate(items)]
-        errors = [f.exception() for f in futures]  # waits for every task
-        results = [None if e else f.result() for f, e in zip(futures, errors)]
-        self._held = [results[k::n] for k in range(n)]
-        if any(errors):
-            # the traceback keeps this frame alive, maybe past the next map,
-            # so it must not hold the results
-            del futures, results
-            raise next(e for e in errors if e)
-        return results
+        wait(futures)
+        return [f.result() for f in futures]
+
+    def apply(self, generation, fn, items):
+        """[fn(*item, *entry) for item in items] on the calling thread, where
+        item i's entry is subdomain i's from the map of that generation."""
+        if generation != self.generation:
+            raise RuntimeError("stale subdomain factors: a later map or the close dropped them")
+        n = len(self._shares)
+        return [fn(*item, *self._shares[i % n][i]) for i, item in enumerate(items)]
 
 
 def _scatter_own(dec, values):
@@ -269,29 +272,29 @@ def ras_preconditioner(x, dec, spec, eps, systems, report, lanes):
     factor (assembling all blocks first let the allocator return the
     factors' pages: 15x the page faults).  Local LU fallbacks go to report.
     """
-    _, lus, fallbacks = zip(*lanes.map(_factor_at, [
+    report.lu_fallbacks += sum(lanes.map(_factor_at, [
         (i, loc, x[sub.pair_idx], spec, eps)
         for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]))
-    report.lu_fallbacks += sum(fallbacks)
+    generation = lanes.generation
 
     def apply(v):
-        return _scatter_own(dec, (lu.solve(v[sub.pair_idx])
-                                  for sub, lu in zip(dec.subdomains, lus)))
+        return _scatter_own(dec, lanes.apply(
+            generation, lambda sub, _, lu: lu.solve(v[sub.pair_idx]), zip(dec.subdomains)))
 
     return apply
 
 
 @dataclass
 class CorrectionSet:
-    """Cached subdomain solves for one iterate, reused by the Jacobian action."""
+    """Subdomain solves at one iterate; lanes store their frozen factors."""
 
     x: np.ndarray
     eps: float
     values: list
-    jac_locs: list
-    lus: list
     reports: list  # each subdomain's local SolveReport, its factor counted
-    systems: list = field(repr=False, default=None)
+    systems: list = field(repr=False)
+    lanes: Lanes = field(repr=False)
+    generation: int
 
 
 def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
@@ -305,8 +308,7 @@ def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
     recombination of the local displacements since the ownership sets
     partition the index set; corrections.values[i] is subdomain i's local
     correction and f_val + x one nonlinear RAS sweep.  The tasks run on
-    lanes, which keep the frozen factors until their next map or close, or
-    inline when lanes is None.
+    lanes, or inline on lanes of their own when lanes is None.
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
     lanes = lanes if lanes is not None else Lanes(1, len(dec))
@@ -314,14 +316,11 @@ def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
 
     tasks = [(i, sub, loc, spec, x, eps, sched, inner_cfg)
              for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
-    values, jac_locs, lus, reports = (
-        list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
+    values, reports = (list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
 
-    f_val = _scatter_own(dec, values) - x
-    corrections = CorrectionSet(
-        x=x.copy(), eps=eps, values=values, jac_locs=jac_locs, lus=lus,
-        reports=reports, systems=systems)
-    return f_val, corrections
+    return _scatter_own(dec, values) - x, CorrectionSet(
+        x=x.copy(), eps=eps, values=values, reports=reports, systems=systems,
+        lanes=lanes, generation=lanes.generation)
 
 
 def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
@@ -335,11 +334,13 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     if corrections.eps != eps or not np.array_equal(corrections.x, x):
         raise RuntimeError("stale corrections: recompute raspen_residual at this iterate")
     dy, dp = split_pair(d)
-    solves = (lu.solve(jac_loc @ d[sub.pair_idx]
-                       + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
-              for sub, loc, jac_loc, lu in zip(dec.subdomains, corrections.systems,
-                                               corrections.jac_locs, corrections.lus,
-                                               strict=True))
+
+    def local(sub, loc, jac_loc, lu):
+        return lu.solve(jac_loc @ d[sub.pair_idx]
+                        + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
+
+    solves = corrections.lanes.apply(corrections.generation, local,
+                                     zip(dec.subdomains, corrections.systems, strict=True))
     # the ownership sets partition the index set, so negating the whole
     # scatter negates every local contribution
     return -_scatter_own(dec, solves)
@@ -359,13 +360,12 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
     """
     inner_cfg = NewtonConfig(tol=inner_tol)
     report = SolveReport()
-    state = {"corr": None}
+    state = {}
 
     def residual_fn(x, eps):
-        # the lanes drop the last factors on their own threads only if
-        # they hold the last reference
-        state["corr"] = None
-        # only the first evaluation starts far from the local solutions
+        # the last local values go before the map: kept across it, they pin
+        # the lanes' heaps (+4.6 MB raspen-2t peak RSS on a 2-core host)
+        state.clear()
         inner_sched = None if report.inner_iters else sched
         f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
                                                inner_sched, systems, lanes)
@@ -374,8 +374,7 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
         return f_val
 
     def jacobian_fn(x, eps):
-        corr = state["corr"]
-        return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, corr)
+        return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, state["corr"])
 
     return newton_continuation(
         x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(sched.eps_min),

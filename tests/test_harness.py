@@ -700,6 +700,17 @@ class TestCli:
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_bare_runtime_error_propagates(self, tmp_path, monkeypatch):
+        # a RuntimeError that is no SolverFault, such as the guard against
+        # stale subdomain factors, flags a programming error: it is no solver
+        # failure and gets no exit code
+        def stale(cfg, out_dir):
+            raise RuntimeError("stale subdomain factors")
+
+        monkeypatch.setattr("ocp.harness.cli.run_single", stale)
+        with pytest.raises(RuntimeError, match="stale"):
+            main(["solve", "--out", str(tmp_path)])
+
     def test_nonfinite_jacobian_exit_three(self, tmp_path, capsys,
                                            overflow_from_second_jacobian):
         code = main(["solve", "--method", "newton-eps", "--n", "12",

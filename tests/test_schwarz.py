@@ -3,6 +3,7 @@
 from dataclasses import replace
 from functools import partial
 import os
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -49,10 +50,10 @@ def solve_monolithic(spec, eps, tol=1e-12):
 
 
 def ras(x, dec, spec, eps):
-    """RAS preconditioner at x on freshly built local systems, built inline."""
-    with Lanes(1, len(dec)) as lanes:
-        return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec),
-                                  SolveReport(), lanes)
+    """RAS preconditioner at x on freshly built local systems, built inline on
+    lanes of its own; they stay open, as closing them makes the apply stale."""
+    return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec),
+                              SolveReport(), Lanes(1, len(dec)))
 
 
 # the outer configuration of the RASPEN tests
@@ -588,6 +589,51 @@ class TestLocalFactorFailure:
         assert (makers == {threading.current_thread()}) == (threads == 1)
 
 
+class TestStaleFactors:
+    # callers get vectors and run their local solves through the lanes; a
+    # use of the lanes' store after a later map or the close raises
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ras_apply_after_a_later_map_or_the_close(self, mild16, factor_log,
+                                                      threads):
+        grid, spec, dec, x_sol = mild16
+        systems = build_local_systems(dec, spec)
+        v = np.linspace(-1.0, 1.0, x_sol.size)
+        with Lanes(threads, len(dec)) as lanes:
+            first = ras_preconditioner(x_sol, dec, spec, 1e-2, systems,
+                                       SolveReport(), lanes)
+            expected = first(v)
+            second = ras_preconditioner(x_sol, dec, spec, 1e-2, systems,
+                                        SolveReport(), lanes)
+            with pytest.raises(RuntimeError, match="stale"):
+                first(v)
+            np.testing.assert_array_equal(second(v), expected)
+        with pytest.raises(RuntimeError, match="stale"):
+            second(v)
+        assert len(factor_log) == 2 * len(dec)
+        assert_freed_where_made(factor_log)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raspen_matvec_after_a_later_map_or_the_close(self, mild16, factor_log,
+                                                          threads):
+        grid, spec, dec, x_sol = mild16
+        systems = build_local_systems(dec, spec)
+        d = np.linspace(-1.0, 1.0, x_sol.size)
+        with Lanes(threads, len(dec)) as lanes:
+            _, first = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG,
+                                       systems=systems, lanes=lanes)
+            expected = raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, first)
+            _, second = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG,
+                                        systems=systems, lanes=lanes)
+            with pytest.raises(RuntimeError, match="stale"):
+                raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, first)
+            np.testing.assert_array_equal(
+                raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, second), expected)
+        with pytest.raises(RuntimeError, match="stale"):
+            raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, second)
+        assert_freed_where_made(factor_log)
+
+
 class TestRaspen:
     def test_residual_vanishes_at_solution(self, mild16):
         grid, spec, dec, x_sol = mild16
@@ -799,7 +845,7 @@ class TestRaspen:
         assert schwarz.usable_cpus() == 1
         built = self.count_lanes(monkeypatch)
         with Lanes(0, 4) as lanes:
-            ran_on = lanes.map(lambda i: threading.current_thread(),
+            ran_on = lanes.map(lambda i: (threading.current_thread(), None),
                                [(i,) for i in range(4)])
         assert ran_on == [threading.current_thread()] * 4
         assert built == []
@@ -809,7 +855,7 @@ class TestRaspen:
     def test_subdomain_owns_its_lane(self):
         # item i runs on lane i % len(lanes) in every map of a set of lanes
         with Lanes(2, 5) as lanes:
-            maps = [lanes.map(lambda i: threading.current_thread(),
+            maps = [lanes.map(lambda i: (threading.current_thread(), None),
                               [(i,) for i in range(5)])
                     for _ in range(2)]
         assert maps[0] == maps[1]
@@ -824,20 +870,46 @@ class TestRaspen:
         def make(i):
             if i == 3:
                 raise LocalSolveError(i, "injected")
-            return LoggedFactor(None, log)
+            return i, (None, LoggedFactor(None, log))
 
         def alive():
             return [r["freed"] is None for r in log]
 
         with Lanes(threads, 5) as lanes:
-            first = lanes.map(make, [(i,) for i in range(3)])
-            del first
+            # the map returns the results, and the store keeps the entries
+            assert lanes.map(make, [(i,) for i in range(3)]) == [0, 1, 2]
             assert alive() == [True] * 3
             with pytest.raises(LocalSolveError):
                 lanes.map(make, [(i,) for i in range(5)])
-            # on lanes, a failed map keeps what its other tasks made; inline,
-            # it stops at the failing item and keeps nothing
-            kept = [True] * 4 if threads > 1 else [False] * 3
+            # a failed map keeps what its other tasks stored: inline, the
+            # tasks before the failing item; on lanes, all the others
+            kept = [True] * (4 if threads > 1 else 3)
             assert alive() == [False] * 3 + kept
         assert not any(alive())
         assert_freed_where_made(log)
+
+    def test_store_keeps_every_entry_under_thread_switching(self):
+        # more lanes than cores and a short switch interval: each map's
+        # entries all land in their own subdomain's slot
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Lanes(4, 64) as lanes:
+                for k in range(20):
+                    items = [(i,) for i in range(64)]
+                    assert lanes.map(lambda i: (i, (i, k)), items) == list(range(64))
+                    assert (lanes.apply(lanes.generation, lambda *ids: ids, items)
+                            == [(i, i, k) for i in range(64)])
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_apply_runs_on_the_calling_thread(self, threads):
+        # item i meets subdomain i's entry, whichever lane stored it
+        with Lanes(threads, 3) as lanes:
+            lanes.map(lambda i: (None, (threading.current_thread(), 10 * i)),
+                      [(i,) for i in range(3)])
+            out = lanes.apply(lanes.generation,
+                              lambda i, made, value: (i, value, threading.current_thread()),
+                              [(i,) for i in range(3)])
+        assert out == [(i, 10 * i, threading.current_thread()) for i in range(3)]
