@@ -102,14 +102,13 @@ class ExperimentConfig:
 
 
 def solver_settings(cfg):
-    """A run's (ContinuationSchedule, NewtonConfig): continuation walks eps0
-    -> eps_min, a plain method sits at eps_min; the GMRES budget is per method."""
+    """A run's (ContinuationSchedule, NewtonConfig, KrylovConfig): eps0 ->
+    eps_min with continuation, else eps_min; the GMRES budget is per method."""
     eps0 = cfg.eps0 if cfg.uses_continuation else cfg.eps_min
     max_iters = 2000 if cfg.uses_ras else 1000 if cfg.is_raspen else 5000
     return (ContinuationSchedule(eps0, cfg.gamma, cfg.eps_min),
-            NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma,
-                         linear_solver=KrylovConfig(rel_tol=cfg.gmres_tol,
-                                                    max_iters=max_iters)))
+            NewtonConfig(tol=cfg.tol, max_outer=cfg.max_outer, sigma=cfg.sigma),
+            KrylovConfig(rel_tol=cfg.gmres_tol, max_iters=max_iters))
 
 
 # the flat spelling shared by config files and CLI flags: every field under

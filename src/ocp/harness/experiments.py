@@ -15,7 +15,7 @@ import numpy as np
 
 from ..grid import Grid
 from ..krylov import SolverFault
-from ..newton import Refined, SolveReport, newton_continuation
+from ..newton import SolveReport, gmres_direction, newton_continuation, refined_direction
 from ..schwarz import (Lanes, build_local_systems, decompose,
                        ras_preconditioner, raspen_solve)
 from ..system import (construct_plateau_problem, construct_test_problem,
@@ -50,32 +50,30 @@ def solve_single(cfg, spec=None, x0=None):
     """
     if spec is None:
         _, spec = build_problem(cfg)
-    sched, newton_cfg = solver_settings(cfg)
+    sched, newton_cfg, krylov = solver_settings(cfg)
     x0 = np.zeros(2 * spec.grid.size) if x0 is None else x0
-    decomposed = cfg.uses_ras or cfg.is_raspen
     residual_fn = lambda x, eps: residual(x, spec, eps)
-    # one assembly per step, wrapped for its direction solver: a Refined
-    # Jacobian is factored in single precision and refined, a product is GMRES's
-    factored = not decomposed and cfg.linear_solver != "gmres"
-    wrap = Refined if factored else lambda jac: jac.__matmul__
-    jacobian_fn = lambda x, eps: wrap(jacobian(x, spec, eps))
-    if not decomposed:
-        return (*newton_continuation(x0, residual_fn, jacobian_fn, sched,
+    # one assembly per step: refined on a float32 factor, or GMRES's product
+    operator_fn = lambda x, eps: jacobian(x, spec, eps).__matmul__
+    if not (cfg.uses_ras or cfg.is_raspen):
+        direction_fn = (gmres_direction(operator_fn, krylov) if cfg.linear_solver == "gmres"
+                        else refined_direction(lambda x, eps: jacobian(x, spec, eps)))
+        return (*newton_continuation(x0, residual_fn, direction_fn, sched,
                                      newton_cfg), spec)
 
     dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
     systems = build_local_systems(dec, spec)
     with Lanes(cfg.threads, len(dec)) as lanes:
         if cfg.is_raspen:
-            x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, cfg.inner_tol,
-                                     systems, lanes)
+            x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, krylov,
+                                     cfg.inner_tol, systems, lanes)
         else:
             report = SolveReport()
             x, _ = newton_continuation(
-                x0, residual_fn, jacobian_fn, sched, newton_cfg,
-                precond_builder=lambda x, eps: ras_preconditioner(
-                    x, dec, spec, eps, systems, report, lanes),
-                report=report)
+                x0, residual_fn,
+                gmres_direction(operator_fn, krylov, lambda x, eps: ras_preconditioner(
+                    x, dec, spec, eps, systems, report, lanes)),
+                sched, newton_cfg, report=report)
     return x, report, spec
 
 

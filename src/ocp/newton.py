@@ -1,11 +1,12 @@
 """Damped Newton with relaxed backtracking and eps-continuation.
 
-The solver is generic over the residual/Jacobian pair, so the same core serves
-the monolithic coupled system, plain semilinear state solves, and the local
-subdomain solves inside the nonlinear preconditioner.  The smoothing parameter
-follows eps_{k+1} = max(gamma * eps_k, eps_min); convergence is declared only
-once eps has reached eps_min AND the residual test holds, since a small
-residual of a smoother intermediate system is not a solution of the target one.
+The core takes a residual and a direction function (lu_direction,
+refined_direction or gmres_direction makes one), so it serves the monolithic
+coupled system, state solves, local subdomain solves and RASPEN's outer
+iteration.  The smoothing parameter follows eps_{k+1} = max(gamma * eps_k,
+eps_min); convergence is declared only once eps has reached eps_min AND the
+residual test holds, since a small residual of a smoother intermediate
+system is not a solution of the target one.
 """
 
 import time
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .krylov import KrylovConfig, SolverFault, gmres
+from .krylov import SolverFault, gmres
 
 
 class LineSearchError(SolverFault):
@@ -68,8 +69,6 @@ class NewtonConfig:
     tol: float = 1e-10
     max_outer: int = 200
     sigma: float = 1.1
-    # the GMRES budget, used when the Jacobian is an operator
-    linear_solver: KrylovConfig = KrylovConfig()
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -146,7 +145,7 @@ def sparse_lu(jac, splu):
     """Ordered SuperLU factor of the Ordered jac; returns (factor, fallbacks).
 
     It makes every double-precision Jacobian factor: the state solve's, the
-    local factors of RAS and RASPEN, and the fallback of a Refined direction
+    local factors of RAS and RASPEN, and the fallback of a refined_direction
     that refinement rejects.  Each of them is stored in its pattern's
     fill-reducing order, so it is factored as stored, in SuperLU's
     symmetric mode with diagonal pivots, which fills far less than COLAMD
@@ -170,13 +169,6 @@ def sparse_lu(jac, splu):
         lu = None  # free the rejected factor before making its replacement
         lu = splu(matrix)
     return Ordered(lu, jac.order, jac.position), fallbacks
-
-
-@dataclass(frozen=True)
-class Refined:
-    """An Ordered Jacobian whose Newton direction comes from refined_solve."""
-
-    jac: Ordered
 
 
 def float32_lu(jac):
@@ -221,71 +213,88 @@ def refined_solve(jac, rhs, lu):
     return (d[jac.position] if not halved and rel <= LU_PROBE_TOL else None), solves
 
 
-def _refined_direction(jac, rhs, held):
-    """refined_solve's direction for the Ordered jac, or None if it misses.
+def _guarded(fn, *args):
+    """fn(*args), a RuntimeError of which ends the solve as a LinearSolveError."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
 
-    held holds the float32 factor of the last refined direction, if any;
-    the direction is refined on it first.  If it misses, it is dropped
-    before a fresh factor of jac is made, and the fresh factor is held if
-    its direction is kept.  So at most one float32 factor is alive.  A held
-    factor whose kept direction took more than REFRESH_SOLVES solves has
-    gone stale: that direction is returned, and the factor is dropped so
-    that the next step makes a fresh one.  The rule counts solves, not
-    seconds, so reruns make the same factors.
+
+def _lu_solve(jac, rhs, report):
+    """Solution of jac d = rhs by the guarded sparse LU, its fallback counted."""
+    lu, fallbacks = _guarded(sparse_lu, jac, spla.splu)
+    report.lu_fallbacks += fallbacks
+    return lu.solve(rhs)
+
+
+def lu_direction(jacobian_fn):
+    """Direction function of the guarded sparse LU of jacobian_fn(x, eps)."""
+    return lambda x, eps, rhs, report: (_lu_solve(jacobian_fn(x, eps), rhs, report), None)
+
+
+def refined_direction(jacobian_fn):
+    """Direction function of refined_solve on the Ordered jacobian_fn(x, eps).
+
+    It refines on the float32 factor it holds, if any, and drops it if it
+    misses before a fresh factor is made; the fresh factor is held only if
+    its direction is kept, so at most one is alive.  A held factor whose
+    kept direction took more than REFRESH_SOLVES solves is stale: that
+    direction is returned and the next step makes a fresh factor (the rule
+    counts solves, so reruns make the same factors).  A direction that no
+    fresh factor gives is counted in the report and solved by the guarded
+    sparse LU, whose fallback counts too.
     """
-    if held:
-        d, solves = refined_solve(jac, rhs, held[0])
-        if d is None or solves > REFRESH_SOLVES:
-            held.clear()
-        if d is not None:
-            return d
-    lu = float32_lu(jac)
-    d = refined_solve(jac, rhs, lu)[0] if lu is not None else None
-    if d is not None:
-        held.append(lu)
-    return d
+    held = None
+
+    def refine(jac, rhs):
+        nonlocal held
+        if held is not None:
+            d, solves = refined_solve(jac, rhs, held)
+            if d is None or solves > REFRESH_SOLVES:
+                held = None
+            if d is not None:
+                return d
+        held = float32_lu(jac)
+        d = refined_solve(jac, rhs, held)[0] if held is not None else None
+        if d is None:
+            held = None
+        return d
+
+    def direction(x, eps, rhs, report):
+        jac = jacobian_fn(x, eps)
+        d = _guarded(refine, jac, rhs)
+        if d is None:
+            report.lu_fallbacks += 1
+            d = _lu_solve(jac, rhs, report)
+        return d, None
+
+    return direction
 
 
-def _solve_direction(jac, rhs, krylov, precond, report, held):
-    """Newton direction and GMRES iterations: GMRES on a callable jac, the
-    refined single-precision solve on a Refined one (on the factor in held
-    until it misses or goes stale), else the guarded sparse LU of the
-    Ordered jac (iterations None).  A Refined direction that no fresh
-    float32 factor gives is counted in report and solved by the guarded LU,
-    whose fallback counts too; a held factor that misses is not counted."""
-    if callable(jac):
-        result = gmres(jac, rhs, krylov, precond=precond)
+def gmres_direction(operator_fn, krylov, precond_fn=None):
+    """Direction function of GMRES, within the KrylovConfig krylov, on the
+    operator v -> J v that operator_fn(x, eps) returns, left-preconditioned
+    by precond_fn(x, eps), if given, which is rebuilt every step."""
+    def direction(x, eps, rhs, report):
+        apply_op = operator_fn(x, eps)
+        precond = precond_fn(x, eps) if precond_fn is not None else None
+        result = gmres(apply_op, rhs, krylov, precond=precond)
         if not result.converged:
             raise LinearSolveError(
                 f"GMRES stalled at residual {result.residual:.3e} "
                 f"after {result.iters} iterations")
         return result.x, result.iters
-    try:
-        if isinstance(jac, Refined):
-            d = _refined_direction(jac.jac, rhs, held)
-            if d is not None:
-                return d, None
-            report.lu_fallbacks += 1
-            jac = jac.jac
-        lu, fallbacks = sparse_lu(jac, spla.splu)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    report.lu_fallbacks += fallbacks
-    return lu.solve(rhs), None
+
+    return direction
 
 
-def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builder=None,
-                        report=None):
+def newton_continuation(x0, residual_fn, direction_fn, sched, cfg, report=None):
     """Damped Newton on F_eps with the eps-continuation schedule.
 
-    residual_fn(x, eps) -> vector; jacobian_fn(x, eps) -> an Ordered
-    matrix (guarded LU), a Refined one (refined float32 LU, whose factor the
-    solve holds for later directions until refinement on it misses the
-    floor or takes more than REFRESH_SOLVES solves) or a callable
-    v -> J v (GMRES);
-    precond_builder(x, eps) -> left preconditioner callable, rebuilt every
-    outer iteration.  The solve fills report (a new SolveReport by default),
-    to which callbacks may add counts.
+    residual_fn(x, eps) -> vector; direction_fn(x, eps, rhs, report) -> (d,
+    GMRES iterations or None) with J(x, eps) d = rhs.  The solve fills report
+    (a new SolveReport by default), to which callbacks may add counts.
     Stopping threshold is max(tol, tol * ||F_eps0(x0)||), frozen at the
     initial residual.  While eps stays put the accepted line-search trial's
     residual is the next residual; a new eps needs one more evaluation.  A
@@ -296,9 +305,6 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
     x = np.array(x0, dtype=float, copy=True)
     eps = sched.eps0
     report = report if report is not None else SolveReport()
-    # the float32 factor of the last refined direction, kept for this solve
-    # until it misses or goes stale
-    held = []
     try:
         r = residual_fn(x, eps)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -312,13 +318,7 @@ def newton_continuation(x0, residual_fn, jacobian_fn, sched, cfg, precond_builde
             if report.outer_iters >= cfg.max_outer:
                 report.failure = f"no convergence within {cfg.max_outer} outer iterations"
                 break
-            jac = jacobian_fn(x, eps)
-            precond = precond_builder(x, eps) if precond_builder is not None else None
-            d, lin_iters = _solve_direction(jac, -r, cfg.linear_solver, precond,
-                                            report, held)
-            # this step's Jacobian and preconditioner factors go before the
-            # line search and the next step make their own
-            del jac, precond
+            d, lin_iters = direction_fn(x, eps, -r, report)
             alpha, r = backtrack(x, d, lambda z: residual_fn(z, eps), cfg.sigma, nrm)
             nrm = float(np.linalg.norm(r))
             x_next = x + alpha * d

@@ -34,7 +34,8 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid
 from .newton import (ContinuationSchedule, NewtonConfig, SolveReport,
-                     SolverFault, newton_continuation, sparse_lu)
+                     SolverFault, gmres_direction, lu_direction,
+                     newton_continuation, sparse_lu)
 from .system import (PAIR_DIAGONALS, JacobianPattern, pair_jacobian,
                      residual_rows, split_pair)
 
@@ -184,7 +185,7 @@ def _factor_at(i, loc, v, spec, eps):
 def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
     """Map task: frozen-exterior Newton solve on subdomain i, then the LU at its result."""
     res, jac = _local_problem(loc, spec, x)
-    v, report = newton_continuation(x[sub.pair_idx], res, jac, sched, cfg)
+    v, report = newton_continuation(x[sub.pair_idx], res, lu_direction(jac), sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
     fallbacks, entry = _factor_at(i, loc, v, spec, eps)
@@ -346,17 +347,17 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     return -_scatter_own(dec, solves)
 
 
-def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
+def raspen_solve(x0, dec, spec, sched, cfg, krylov, inner_tol, systems, lanes):
     """Outer Newton on the fixed-point residual at eps_min, full steps.
 
-    cfg.linear_solver is the outer GMRES's KrylovConfig.  The inner schedule
-    comes from sched alone: the first evaluation's subdomain solves (the
-    only ones that start far from their solutions) follow sched, and every
-    later evaluation solves them directly at eps_min (raspen_residual's
-    default schedule), so a fixed sched gives no continuation.
-    The outer line search accepts every step (sigma = inf).  Every
-    evaluation maps its subdomain solves through lanes, whose next map
-    drops the frozen factors of the last one, so one set is alive at a time.
+    krylov is the outer GMRES's KrylovConfig.  The inner schedule comes from
+    sched alone: the first evaluation's subdomain solves (the only ones that
+    start far from their solutions) follow sched, and every later evaluation
+    solves them directly at eps_min (raspen_residual's default schedule), so
+    a fixed sched gives no continuation.  The outer line search accepts
+    every step (sigma = inf).  Every evaluation maps its subdomain solves
+    through lanes, whose next map drops the frozen factors of the last one,
+    so one set is alive at a time.
     """
     inner_cfg = NewtonConfig(tol=inner_tol)
     report = SolveReport()
@@ -373,9 +374,9 @@ def raspen_solve(x0, dec, spec, sched, cfg, inner_tol, systems, lanes):
         report.lu_fallbacks += sum(r.lu_fallbacks for r in state["corr"].reports)
         return f_val
 
-    def jacobian_fn(x, eps):
+    def operator_fn(x, eps):
         return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, state["corr"])
 
-    return newton_continuation(
-        x0, residual_fn, jacobian_fn, ContinuationSchedule.fixed(sched.eps_min),
-        replace(cfg, sigma=float("inf")), report=report)
+    return newton_continuation(x0, residual_fn, gmres_direction(operator_fn, krylov),
+                               ContinuationSchedule.fixed(sched.eps_min),
+                               replace(cfg, sigma=float("inf")), report=report)

@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid, build_laplacian, check_finite
 from .krylov import SolverFault
-from .newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
+from .newton import (ContinuationSchedule, NewtonConfig, Ordered, lu_direction,
+                     newton_continuation)
 from .smoothing import smoothed_projection, smoothed_projection_derivative
 
 # exp(700) is near the double-precision ceiling; larger arguments only occur
@@ -242,7 +243,7 @@ def solve_state(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
         return pattern.assemble(pattern.a_diag + dphi)
 
     y, report = newton_continuation(
-        np.zeros(spec.grid.size), state_residual, state_jacobian,
+        np.zeros(spec.grid.size), state_residual, lu_direction(state_jacobian),
         ContinuationSchedule.fixed(1.0), NewtonConfig(tol=STATE_TOL))
     if not report.converged:
         raise SolverFault(f"state solve failed: {report.failure}")

@@ -184,11 +184,11 @@ class TestConfig:
     def test_solver_settings(self, method, budget):
         cfg = mild_config(method=method, s1=2, s2=2, eps0=0.5, gamma=0.3,
                           tol=1e-9, sigma=1.5, max_outer=7, gmres_tol=1e-7)
-        sched, newton_cfg = solver_settings(cfg)
+        sched, newton_cfg, krylov = solver_settings(cfg)
         eps0 = 0.5 if method.endswith("-eps") else 1e-3
         assert sched == ContinuationSchedule(eps0, 0.3, 1e-3)
         assert (newton_cfg.tol, newton_cfg.max_outer, newton_cfg.sigma) == (1e-9, 7, 1.5)
-        assert newton_cfg.linear_solver == KrylovConfig(rel_tol=1e-7, max_iters=budget)
+        assert krylov == KrylovConfig(rel_tol=1e-7, max_iters=budget)
 
     def test_method_properties(self):
         assert mild_config(method="newton-ras-eps", s1=2, s2=2).uses_ras

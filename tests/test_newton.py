@@ -8,13 +8,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ocp.grid import Grid, NonfiniteFieldError
+from ocp.harness.config import build_config
+import ocp.harness.experiments as experiments
+from ocp.harness.experiments import solve_single
 import ocp.krylov as krylov
 from ocp.krylov import GmresBreakdownError, KrylovConfig
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
-                        NewtonConfig, Ordered, Refined, SolveReport, SolverFault,
-                        backtrack, float32_lu, newton_continuation,
-                        refined_solve, sparse_lu)
+                        NewtonConfig, Ordered, SolveReport, SolverFault,
+                        backtrack, float32_lu, gmres_direction, lu_direction,
+                        newton_continuation, refined_direction, refined_solve,
+                        sparse_lu)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
@@ -58,7 +62,7 @@ def test_linear_problem_converges_in_one_step():
     a = sp.csr_matrix(np.eye(8) + 0.1 * rng.standard_normal((8, 8)))
     b = rng.standard_normal(8)
     x, report = newton_continuation(
-        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
+        np.zeros(8), lambda x, eps: a @ x - b, lu_direction(lambda x, eps: natural(a)),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert report.converged
     assert report.outer_iters == 1
@@ -71,10 +75,10 @@ def test_gmres_direction_matches_direct():
     rng = np.random.default_rng(1)
     a = sp.csr_matrix(np.eye(8) + 0.1 * rng.standard_normal((8, 8)))
     b = rng.standard_normal(8)
-    cfg = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-13))
     x, report = newton_continuation(
-        np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: a.dot,
-        ContinuationSchedule.fixed(1.0), cfg)
+        np.zeros(8), lambda x, eps: a @ x - b,
+        gmres_direction(lambda x, eps: a.dot, KrylovConfig(rel_tol=1e-13)),
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert report.converged
     assert report.gmres_iters[0] >= 1
     assert report.avg_gmres_iters == report.gmres_iters[0]
@@ -86,7 +90,7 @@ def test_eps_path_follows_schedule_to_floor():
     # has to walk eps down to the floor before it may declare convergence
     sched = ContinuationSchedule(eps0=1.0, gamma=0.2, eps_min=1e-10)
     x, report = newton_continuation(
-        np.ones(3), lambda x, eps: x.copy(), lambda x, eps: natural(sp.identity(3)),
+        np.ones(3), lambda x, eps: x.copy(), lu_direction(lambda x, eps: natural(sp.identity(3))),
         sched, NewtonConfig())
     assert report.converged
     expected = [max(0.2 ** k, 1e-10) for k in range(16)]
@@ -98,7 +102,7 @@ def test_eps_path_follows_schedule_to_floor():
 def test_no_early_convergence_above_eps_floor():
     sched = ContinuationSchedule(eps0=1.0, gamma=0.5, eps_min=0.25)
     x, report = newton_continuation(
-        np.ones(2), lambda x, eps: x.copy(), lambda x, eps: natural(sp.identity(2)),
+        np.ones(2), lambda x, eps: x.copy(), lu_direction(lambda x, eps: natural(sp.identity(2))),
         sched, NewtonConfig())
     assert report.converged
     assert report.eps_values == [1.0, 0.5, 0.25]
@@ -147,7 +151,7 @@ def test_damping_engages_on_arctan():
         return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
 
     x, report = newton_continuation(
-        np.array([2.0]), residual, jac, ContinuationSchedule.fixed(1e-10),
+        np.array([2.0]), residual, lu_direction(jac), ContinuationSchedule.fixed(1e-10),
         NewtonConfig())
     assert report.converged
     assert min(report.alphas) < 1.0
@@ -162,7 +166,7 @@ def test_accepted_norms_respect_sigma():
         return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2)]]))
 
     _, report = newton_continuation(
-        np.array([2.0]), residual, jac, ContinuationSchedule.fixed(1e-10),
+        np.array([2.0]), residual, lu_direction(jac), ContinuationSchedule.fixed(1e-10),
         NewtonConfig())
     # at a fixed eps each residual norm after x0 is an accepted trial's
     norms = report.residual_norms
@@ -175,7 +179,7 @@ def test_threshold_frozen_at_initial_residual():
     a = sp.csr_matrix(np.eye(4) + 0.05 * rng.standard_normal((4, 4)))
     b = 100.0 * rng.standard_normal(4)
     _, report = newton_continuation(
-        np.zeros(4), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
+        np.zeros(4), lambda x, eps: a @ x - b, lu_direction(lambda x, eps: natural(a)),
         ContinuationSchedule.fixed(1.0), NewtonConfig(tol=1e-10))
     assert report.threshold == pytest.approx(1e-10 * np.linalg.norm(b), rel=1e-12)
 
@@ -184,7 +188,7 @@ def test_max_outer_reports_failure():
     # gradient flow that never reaches tol within the allowed iterations
     x, report = newton_continuation(
         np.ones(1), lambda x, eps: x ** 3 + 1e-3,
-        lambda x, eps: natural(np.array([[3.0 * float(x[0]) ** 2]])),
+        lu_direction(lambda x, eps: natural(np.array([[3.0 * float(x[0]) ** 2]]))),
         ContinuationSchedule.fixed(1.0), NewtonConfig(max_outer=2))
     assert not report.converged
     assert "outer iterations" in report.failure
@@ -192,7 +196,8 @@ def test_max_outer_reports_failure():
 
 def test_singular_jacobian_reports_linear_failure():
     x, report = newton_continuation(
-        np.ones(1), lambda x, eps: x.copy(), lambda x, eps: natural(np.zeros((1, 1))),
+        np.ones(1), lambda x, eps: x.copy(),
+        lu_direction(lambda x, eps: natural(np.zeros((1, 1)))),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure.startswith("sparse factorization failed")
@@ -207,7 +212,8 @@ def test_run_is_deterministic():
         return natural(np.array([[1.0 / (1.0 + float(x[0]) ** 2) + eps]]))
 
     sched = ContinuationSchedule(1.0, 0.2, 1e-8)
-    runs = [newton_continuation(np.array([2.0]), residual, jac, sched, NewtonConfig())
+    runs = [newton_continuation(np.array([2.0]), residual, lu_direction(jac), sched,
+                                NewtonConfig())
             for _ in range(2)]
     (x1, r1), (x2, r2) = runs
     assert np.array_equal(x1, x2)
@@ -221,7 +227,7 @@ def test_nonfinite_initial_guess_rejected():
                             # the norm of a finite residual may still overflow
                             (np.zeros(2), lambda x, eps: np.full(2, 1e300))):
         x, report = newton_continuation(
-            x0, residual_fn, lambda x, eps: natural(sp.identity(x.size)),
+            x0, residual_fn, lu_direction(lambda x, eps: natural(sp.identity(x.size))),
             ContinuationSchedule.fixed(1.0), NewtonConfig())
         assert not report.converged
         assert report.failure == "nonfinite residual at the initial guess"
@@ -257,7 +263,7 @@ def test_fixed_eps_reuses_accepted_trial():
     # after the one at x0 is a line-search trial
     calls = []
     x, report = newton_continuation(
-        np.array([2.0]), counted_arctan(calls), arctan_jacobian,
+        np.array([2.0]), counted_arctan(calls), lu_direction(arctan_jacobian),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert report.converged
     trials = sum(round(-np.log2(alpha)) + 1 for alpha in report.alphas)
@@ -276,7 +282,7 @@ def test_continuation_step_evaluates_at_new_eps():
     calls = []
     sched = ContinuationSchedule(1.0, 0.5, 0.25)
     x, report = newton_continuation(
-        np.array([1.0]), counted_arctan(calls), arctan_jacobian, sched,
+        np.array([1.0]), counted_arctan(calls), lu_direction(arctan_jacobian), sched,
         NewtonConfig())
     assert report.converged
     assert set(report.alphas) == {1.0}
@@ -289,7 +295,7 @@ def test_fault_in_initial_evaluation_keeps_x0():
     calls = []
     x0 = np.array([1.0])
     x, report = newton_continuation(
-        x0, counted_arctan(calls, fail_at=1), arctan_jacobian,
+        x0, counted_arctan(calls, fail_at=1), lu_direction(arctan_jacobian),
         ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure == "local failure"
@@ -312,10 +318,9 @@ def test_gmres_breakdown_ends_as_failed_report():
 
     x, report = newton_continuation(
         np.array([3.0, -1.0]), lambda x, eps: np.arctan(a @ x),
-        lambda x, eps: sp.csr_matrix(a / (1.0 + (a @ x)[:, None] ** 2)).dot,
-        ContinuationSchedule.fixed(1.0),
-        NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-12)),
-        precond_builder=precond_builder)
+        gmres_direction(lambda x, eps: sp.csr_matrix(a / (1.0 + (a @ x)[:, None] ** 2)).dot,
+                        KrylovConfig(rel_tol=1e-12), precond_builder),
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure.startswith("nonfinite")
     assert report.outer_iters == 1
@@ -335,8 +340,8 @@ def test_singular_gmres_operator_ends_as_breakdown():
         return a @ x - b
 
     x, report = newton_continuation(
-        np.zeros(2), residual_fn, lambda x, eps: lambda v: a @ v,
-        ContinuationSchedule.fixed(1.0), NewtonConfig(linear_solver=KrylovConfig()))
+        np.zeros(2), residual_fn, gmres_direction(lambda x, eps: lambda v: a @ v, KrylovConfig()),
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure == "singular Hessenberg at iteration 1"
     assert report.outer_iters == 0
@@ -349,9 +354,9 @@ def test_stalled_gmres_ends_as_failed_report():
     a = np.diag([1.0, 2.0, 3.0])
     b = np.ones(3)
     x, report = newton_continuation(
-        np.zeros(3), lambda x, eps: a @ x - b, lambda x, eps: lambda v: a @ v,
-        ContinuationSchedule.fixed(1.0),
-        NewtonConfig(linear_solver=KrylovConfig(max_iters=1)))
+        np.zeros(3), lambda x, eps: a @ x - b,
+        gmres_direction(lambda x, eps: lambda v: a @ v, KrylovConfig(max_iters=1)),
+        ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure.startswith("GMRES stalled at residual")
     assert report.failure.endswith("after 1 iterations")
@@ -367,7 +372,7 @@ def test_fault_keeps_iterate_and_history(failing_call, steps):
     calls = []
     x, report = newton_continuation(
         np.array([1.0]), counted_arctan(calls, fail_at=failing_call),
-        arctan_jacobian, ContinuationSchedule.fixed(1.0), NewtonConfig())
+        lu_direction(arctan_jacobian), ContinuationSchedule.fixed(1.0), NewtonConfig())
     assert not report.converged
     assert report.failure == "local failure"
     assert report.outer_iters == steps
@@ -387,7 +392,7 @@ def test_stiff_block_solves_without_warnings(mu):
         _, report = newton_continuation(
             np.zeros(2 * grid.size),
             lambda x, eps: residual(x, spec, eps, check=False),
-            lambda x, eps: jacobian(x, spec, eps),
+            lu_direction(lambda x, eps: jacobian(x, spec, eps)),
             ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
     assert report.converged
     assert min(report.alphas) < 1.0
@@ -408,7 +413,7 @@ def stiff_jacobians(n, mu):
     newton_continuation(
         np.zeros(2 * grid.size),
         lambda x, eps: residual(x, spec, eps, check=False),
-        jac, ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
+        lu_direction(jac), ContinuationSchedule(1.0, 0.2, 1e-10), NewtonConfig())
     assert len(iterates) >= 10
     dec = decompose(grid, 2, 2, 2)
     systems = build_local_systems(dec, spec)
@@ -482,7 +487,7 @@ class TestSparseLU:
         def solve(splu):
             monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
             return newton_continuation(
-                np.zeros(8), lambda x, eps: a @ x - b, lambda x, eps: natural(a),
+                np.zeros(8), lambda x, eps: a @ x - b, lu_direction(lambda x, eps: natural(a)),
                 ContinuationSchedule.fixed(1.0), NewtonConfig())
 
         # the default path: splu's own ordering and pivoting on every call
@@ -603,14 +608,14 @@ class TestRefinedSolve:
         spec, _ = construct_test_problem(grid)
         monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
 
-        def refined_jacobian(x, eps):
+        def jacobian_fn(x, eps):
             if events is not None:
                 events.append("J")
-            return Refined(jacobian(x, spec, eps))
+            return jacobian(x, spec, eps)
 
         return newton_continuation(
             np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
-            refined_jacobian, ContinuationSchedule(), NewtonConfig())
+            refined_direction(jacobian_fn), ContinuationSchedule(), NewtonConfig())
 
     def test_held_factor_is_reused_without_changing_the_result(self, monkeypatch):
         dtypes = []
@@ -732,10 +737,10 @@ class TestRefinedSolve:
 
         def solve(refined, splu):
             monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
-            wrap = Refined if refined else lambda jac: jac
+            direction = refined_direction if refined else lu_direction
             return newton_continuation(
                 np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
-                lambda x, eps: wrap(jacobian(x, spec, eps)),
+                direction(lambda x, eps: jacobian(x, spec, eps)),
                 ContinuationSchedule(1.0, 0.2, 1e-3), NewtonConfig())
 
         spoiled = self.spoiled_splu(spoil, spoil_double)
@@ -755,13 +760,91 @@ class TestRefinedSolve:
         b = np.array([1e39, 1.0, 1.0])
         assert float32_lu(jac) is None
 
-        def solve(wrap):
+        def solve(direction):
             return newton_continuation(
-                np.zeros(3), lambda x, eps: jac @ x - b, lambda x, eps: wrap(jac),
+                np.zeros(3), lambda x, eps: jac @ x - b, direction(lambda x, eps: jac),
                 ContinuationSchedule.fixed(1.0), NewtonConfig())
 
-        x_ref, report_ref = solve(lambda j: j)
-        x, report = solve(Refined)
+        x_ref, report_ref = solve(lu_direction)
+        x, report = solve(refined_direction)
         assert report.converged and report.outer_iters == report_ref.outer_iters == 1
         assert (report_ref.lu_fallbacks, report.lu_fallbacks) == (0, 1)
         np.testing.assert_array_equal(x, x_ref)
+
+
+class TestStepLifetimes:
+    """Nothing a step makes for its direction is alive in its line search:
+    not its Ordered Jacobian, its double-precision factor or its RAS
+    preconditioner.  Only the held float32 factor and the lanes' local
+    factors may outlive a step, and neither is watched here."""
+
+    @staticmethod
+    def watch(monkeypatch, float32=True):
+        """Weak references to every watched object, by kind, and the number
+        of line searches; each line search asserts that all are dead."""
+        refs = {"jacobian": [], "factor": [], "preconditioner": []}
+        searches = []
+        real_backtrack, real_splu = newton.backtrack, newton.spla.splu
+        real_sparse_lu, real_jacobian = newton.sparse_lu, experiments.jacobian
+        real_ras = experiments.ras_preconditioner
+
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        class Preconditioner:
+            def __init__(self, apply):
+                self.apply = apply
+
+            def __call__(self, v):
+                return self.apply(v)
+
+        def watched(kind, obj):
+            refs[kind].append(weakref.ref(obj))
+            return obj
+
+        def splu(matrix, **kwargs):
+            if matrix.dtype == np.float32:
+                if not float32:
+                    raise RuntimeError("no single-precision factor")
+                return real_splu(matrix, **kwargs)
+            return watched("factor", Factor(real_splu(matrix, **kwargs)))
+
+        def backtrack(*args):
+            searches.append(True)
+            alive = [kind for kind, kind_refs in refs.items()
+                     if any(ref() is not None for ref in kind_refs)]
+            assert not alive, f"alive in the line search: {alive}"
+            return real_backtrack(*args)
+
+        monkeypatch.setattr(newton, "backtrack", backtrack)
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+        monkeypatch.setattr(newton, "sparse_lu", lambda jac, splu: real_sparse_lu(
+            watched("jacobian", jac), splu))
+        monkeypatch.setattr(experiments, "jacobian", lambda x, spec, eps: watched(
+            "jacobian", real_jacobian(x, spec, eps)))
+        monkeypatch.setattr(experiments, "ras_preconditioner", lambda *args: watched(
+            "preconditioner", Preconditioner(real_ras(*args))))
+        return refs, searches
+
+    def test_direct_state_solve(self, monkeypatch):
+        refs, searches = self.watch(monkeypatch)
+        construct_test_problem(Grid(16), nu=1e-2, k_tilde=2)
+        assert searches and len(refs["jacobian"]) == len(refs["factor"]) == len(searches)
+
+    @pytest.mark.parametrize("method,linear_solver,float32,kinds", [
+        ("newton-eps", "auto", True, ["jacobian"]),
+        ("newton-eps", "auto", False, ["jacobian", "factor"]),
+        ("newton-eps", "gmres", True, ["jacobian"]),
+        ("newton-ras-eps", "auto", True, ["jacobian", "preconditioner"]),
+    ], ids=["refined", "refined-fallback", "gmres", "ras-gmres"])
+    def test_coupled_solve(self, monkeypatch, method, linear_solver, float32, kinds):
+        cfg = build_config(overrides=dict(method=method, n=16, nu=1e-2, k_tilde=2,
+                                          eps_min=1e-3, s1=2, s2=2, overlap=1,
+                                          linear_solver=linear_solver))
+        spec = experiments.build_problem(cfg)[1]
+        refs, searches = self.watch(monkeypatch, float32)
+        _, report, _ = solve_single(cfg, spec)
+        assert report.converged and len(searches) == report.outer_iters > 1
+        # one watched object of each kind per step
+        assert all(len(refs[kind]) >= report.outer_iters for kind in kinds)

@@ -19,7 +19,7 @@ from ocp.harness.experiments import solve_single
 from ocp.krylov import KrylovConfig, gmres
 import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, NewtonConfig, SolveReport,
-                        newton_continuation)
+                        gmres_direction, lu_direction, newton_continuation)
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
                          build_local_systems, decompose, ras_preconditioner,
@@ -43,7 +43,7 @@ def solve_monolithic(spec, eps, tol=1e-12):
     x0 = np.zeros(2 * spec.grid.size)
     x, report = newton_continuation(
         x0, lambda z, e: residual(z, spec, e, check=False),
-        lambda z, e: jacobian(z, spec, e),
+        lu_direction(lambda z, e: jacobian(z, spec, e)),
         ContinuationSchedule.fixed(eps), NewtonConfig(tol=tol))
     assert report.converged, report.failure
     return x
@@ -56,15 +56,16 @@ def ras(x, dec, spec, eps):
                               SolveReport(), Lanes(1, len(dec)))
 
 
-# the outer configuration of the RASPEN tests
-RASPEN_CFG = NewtonConfig(linear_solver=KrylovConfig(rel_tol=1e-8, max_iters=400))
+# the outer configuration of the RASPEN tests and its GMRES budget
+RASPEN_CFG = NewtonConfig()
+RASPEN_KRYLOV = KrylovConfig(rel_tol=1e-8, max_iters=400)
 # the local solves' configuration at raspen_solve's inner_tol of 1e-8
 INNER_CFG = NewtonConfig(tol=1e-8)
 
 
 def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0):
     with Lanes(threads, len(dec)) as lanes:
-        return raspen_solve(x0, dec, spec, sched, cfg, 1e-8,
+        return raspen_solve(x0, dec, spec, sched, cfg, RASPEN_KRYLOV, 1e-8,
                             build_local_systems(dec, spec), lanes)
 
 
@@ -432,11 +433,11 @@ class TestRasPreconditioner:
         with Lanes(2, len(dec)) as lanes:
             x, report = newton_continuation(
                 x0, lambda z, e: residual(z, spec, e, check=False),
-                lambda z, e: jacobian(z, spec, e).__matmul__,
-                ContinuationSchedule.fixed(1e-2),
-                NewtonConfig(tol=1e-12, linear_solver=KrylovConfig(rel_tol=1e-10)),
-                precond_builder=lambda z, e: ras_preconditioner(
-                    z, dec, spec, e, systems, SolveReport(), lanes))
+                gmres_direction(lambda z, e: jacobian(z, spec, e).__matmul__,
+                                KrylovConfig(rel_tol=1e-10),
+                                lambda z, e: ras_preconditioner(
+                                    z, dec, spec, e, systems, SolveReport(), lanes)),
+                ContinuationSchedule.fixed(1e-2), NewtonConfig(tol=1e-12))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
         assert np.abs(x - x_sol).max() <= 1e-8 * max(1.0, np.abs(x_sol).max())
@@ -531,9 +532,9 @@ class TestLocalFactorFailure:
         x0 = np.zeros(2 * grid.size)
         x, report = newton_continuation(
             x0, lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian(z, spec, e).__matmul__, ContinuationSchedule.fixed(1e-2),
-            NewtonConfig(linear_solver=KrylovConfig()),
-            precond_builder=lambda z, e: ras(z, dec, spec, e))
+            gmres_direction(lambda z, e: jacobian(z, spec, e).__matmul__, KrylovConfig(),
+                            lambda z, e: ras(z, dec, spec, e)),
+            ContinuationSchedule.fixed(1e-2), NewtonConfig())
         assert not report.converged
         assert report.failure.startswith("subdomain 1: singular")
         assert len(report.residual_norms) == 1

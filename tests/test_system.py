@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from ocp.grid import Grid, NonfiniteFieldError, build_laplacian
 from ocp.krylov import SolverFault
 import ocp.newton as newton
-from ocp.newton import ContinuationSchedule, NewtonConfig, Ordered, newton_continuation
+from ocp.newton import (ContinuationSchedule, NewtonConfig, Ordered, lu_direction,
+                        newton_continuation)
 from ocp.smoothing import smoothed_projection
 from ocp.system import (EPS_CONSTRUCT, EXP_ARG_MAX, PAIR_DIAGONALS, STATE_DIAGONALS,
                         STATE_TOL, JacobianPattern, Nonlinearity, ProblemSpec,
@@ -304,7 +305,8 @@ class TestSolveState:
         rhs = spec.f + u
         y_ref, report = newton_continuation(
             np.zeros(spec.grid.size), lambda y, eps: spec.a @ y + spec.phi.value(y) - rhs,
-            natural_jacobian, ContinuationSchedule.fixed(1.0), NewtonConfig(tol=STATE_TOL))
+            lu_direction(natural_jacobian), ContinuationSchedule.fixed(1.0),
+            NewtonConfig(tol=STATE_TOL))
         assert report.converged and report.outer_iters == len(jacobians)
         assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
@@ -352,13 +354,12 @@ class TestObjective:
         assert objective(u, spec, eps=1e-2) == pytest.approx(expected, rel=1e-9)
 
     def test_solver_output_beats_zero_control(self):
-        from ocp.newton import ContinuationSchedule, NewtonConfig, newton_continuation
         spec, _ = construct_test_problem(Grid(16), k_tilde=2)
         eps = 1e-2
         x, report = newton_continuation(
             np.zeros(2 * spec.grid.size),
             lambda z, e: residual(z, spec, e, check=False),
-            lambda z, e: jacobian(z, spec, e),
+            lu_direction(lambda z, e: jacobian(z, spec, e)),
             ContinuationSchedule(1.0, 0.2, eps), NewtonConfig())
         assert report.converged
         _, p = split_pair(x)
