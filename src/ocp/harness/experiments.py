@@ -72,7 +72,7 @@ def solve_single(cfg, spec=None, x0=None):
             x, _ = newton_continuation(
                 x0, residual_fn,
                 gmres_direction(operator_fn, krylov, lambda x, eps: ras_preconditioner(
-                    x, dec, spec, eps, systems, report, lanes)),
+                    x, spec, eps, systems, report, lanes)),
                 sched, newton_cfg, report=report)
     return x, report, spec
 

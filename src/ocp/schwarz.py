@@ -9,11 +9,13 @@ Three layers on top of a rectangular tiling with m-cell overlap:
     residual, with the Jacobian action assembled from frozen local
     factorizations and applied matrix-free inside GMRES.
 
-Each Schwarz solve opens one set of owner lanes (Lanes), single-thread
-executors through which every subdomain map of the solve runs: the RAS
-build's local factors and RASPEN's local corrections with their frozen
-factors.  Subdomain i always runs on lane i mod their number.  SuperLU frees
-a factor's storage only on the thread that made it (dropped on another
+decompose returns the tuple of Subdomains; each LocalSystem carries its
+own as sub, so every subdomain loop walks the local systems alone.  Each
+Schwarz solve opens one set of owner lanes (Lanes), single-thread executors
+through which every subdomain map of the solve runs: the RAS build's local
+factors and RASPEN's local corrections with their frozen factors.
+Subdomain i always runs on lane i mod their number.  SuperLU frees a
+factor's storage only on the thread that made it (dropped on another
 thread, the storage leaks), so only the lanes hold factors: a map's tasks
 store them on their lanes until the next map or the close, callers get
 vectors, and a use of the store after either raises.  Recombination writes
@@ -32,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid
 from .newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                      SolverFault, gmres_direction, lu_direction,
                      newton_continuation, sparse_lu)
@@ -64,13 +65,10 @@ class Subdomain:
     pair_own_in_local: np.ndarray
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    grid: Grid
-    subdomains: tuple
-
-    def __len__(self):
-        return len(self.subdomains)
+class Tiling(tuple):
+    """decompose's Subdomains; subdomains, the tuple itself, serves
+    tests/test_acceptance.py, written for a tuple held in a field."""
+    subdomains = property(lambda self: self)
 
 
 def _tile_edges(n, parts):
@@ -90,7 +88,7 @@ def _rect_indices(n, rows, cols):
 
 
 def decompose(grid, s1, s2, m):
-    """Tile the interior into s1 x s2 ownership blocks, dilated by m cells."""
+    """Subdomains of s1 x s2 ownership blocks of the interior, dilated by m cells."""
     if s1 < 1 or s2 < 1:
         raise ValueError("need at least one tile per dimension")
     if m < 0:
@@ -118,18 +116,19 @@ def decompose(grid, s1, s2, m):
             subdomains.append(Subdomain(
                 idx=idx, pair_idx=pair_idx, pair_own=pair_own,
                 pair_own_in_local=pair_own_in_local))
-    return Decomposition(grid=grid, subdomains=tuple(subdomains))
+    return Tiling(subdomains)
 
 
 @dataclass(frozen=True)
 class LocalSystem:
-    """Restriction of the discrete operator to one subdomain.
+    """Restriction of the discrete operator to one subdomain, sub.
 
     a_loc couples local points among themselves; a_ext holds the same stencil
     rows with local columns zeroed, so a_ext @ global_field yields exactly the
     frozen-exterior Dirichlet coupling of the transmission conditions.
     """
 
+    sub: Subdomain
     a_loc: sp.csr_matrix
     a_ext: sp.csr_matrix
     f_loc: np.ndarray
@@ -141,14 +140,14 @@ class LocalSystem:
 
 
 def build_local_systems(dec, spec):
-    outside = np.ones(dec.grid.size)
+    outside = np.ones(spec.grid.size)
     systems = []
-    for sub in dec.subdomains:
+    for sub in dec:
         rows = spec.a[sub.idx]
         outside[sub.idx] = 0.0
         a_ext = (rows @ sp.diags(outside)).sorted_indices()
         outside[sub.idx] = 1.0
-        systems.append(LocalSystem(a_loc=rows[:, sub.idx], a_ext=a_ext,
+        systems.append(LocalSystem(sub=sub, a_loc=rows[:, sub.idx], a_ext=a_ext,
                                    f_loc=spec.f[sub.idx], yd_loc=spec.y_d[sub.idx]))
     return systems
 
@@ -182,10 +181,10 @@ def _factor_at(i, loc, v, spec, eps):
     return fallbacks, (jac_loc, lu)
 
 
-def _solve_and_factor(i, sub, loc, spec, x, eps, sched, cfg):
+def _solve_and_factor(i, loc, spec, x, eps, sched, cfg):
     """Map task: frozen-exterior Newton solve on subdomain i, then the LU at its result."""
     res, jac = _local_problem(loc, spec, x)
-    v, report = newton_continuation(x[sub.pair_idx], res, lu_direction(jac), sched, cfg)
+    v, report = newton_continuation(x[loc.sub.pair_idx], res, lu_direction(jac), sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
     fallbacks, entry = _factor_at(i, loc, v, spec, eps)
@@ -258,15 +257,15 @@ class Lanes:
         return [fn(*item, *self._shares[i % n][i]) for i, item in enumerate(items)]
 
 
-def _scatter_own(dec, values):
-    """Global pair vector made of each local vector's owned entries."""
-    out = np.zeros(2 * dec.grid.size)
-    for sub, v in zip(dec.subdomains, values):
-        out[sub.pair_own] = v[sub.pair_own_in_local]
+def _scatter_own(systems, values, like):
+    """Global pair vector, zeros like `like`, made of each local vector's owned entries."""
+    out = np.zeros_like(like)
+    for loc, v in zip(systems, values):
+        out[loc.sub.pair_own] = v[loc.sub.pair_own_in_local]
     return out
 
 
-def ras_preconditioner(x, dec, spec, eps, systems, report, lanes):
+def ras_preconditioner(x, spec, eps, systems, report, lanes):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
     Subdomain i's local Jacobian is assembled on its lane right before its
@@ -274,13 +273,12 @@ def ras_preconditioner(x, dec, spec, eps, systems, report, lanes):
     factors' pages: 15x the page faults).  Local LU fallbacks go to report.
     """
     report.lu_fallbacks += sum(lanes.map(_factor_at, [
-        (i, loc, x[sub.pair_idx], spec, eps)
-        for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]))
+        (i, loc, x[loc.sub.pair_idx], spec, eps) for i, loc in enumerate(systems)]))
     generation = lanes.generation
 
     def apply(v):
-        return _scatter_own(dec, lanes.apply(
-            generation, lambda sub, _, lu: lu.solve(v[sub.pair_idx]), zip(dec.subdomains)))
+        return _scatter_own(systems, lanes.apply(
+            generation, lambda loc, _, lu: lu.solve(v[loc.sub.pair_idx]), zip(systems)), v)
 
     return apply
 
@@ -312,14 +310,13 @@ def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
     lanes, or inline on lanes of their own when lanes is None.
     """
     systems = systems if systems is not None else build_local_systems(dec, spec)
-    lanes = lanes if lanes is not None else Lanes(1, len(dec))
+    lanes = lanes if lanes is not None else Lanes(1, len(systems))
     sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
 
-    tasks = [(i, sub, loc, spec, x, eps, sched, inner_cfg)
-             for i, (sub, loc) in enumerate(zip(dec.subdomains, systems))]
+    tasks = [(i, loc, spec, x, eps, sched, inner_cfg) for i, loc in enumerate(systems)]
     values, reports = (list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
 
-    return _scatter_own(dec, values) - x, CorrectionSet(
+    return _scatter_own(systems, values, x) - x, CorrectionSet(
         x=x.copy(), eps=eps, values=values, reports=reports, systems=systems,
         lanes=lanes, generation=lanes.generation)
 
@@ -330,21 +327,21 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     Each local contribution is -(R_i F' P_i)^{-1} R_i F' d evaluated at the
     corrected point x^(i) (local values inside the subdomain, x outside); the
     diagonal coupling blocks are local, so the only exterior reach of R_i F' d
-    is through the operator stencil, supplied by a_ext.
+    is through the operator stencil, supplied by a_ext.  dec and spec are
+    unused: corrections carries the local systems and their factors.
     """
     if corrections.eps != eps or not np.array_equal(corrections.x, x):
         raise RuntimeError("stale corrections: recompute raspen_residual at this iterate")
     dy, dp = split_pair(d)
 
-    def local(sub, loc, jac_loc, lu):
-        return lu.solve(jac_loc @ d[sub.pair_idx]
+    def local(loc, jac_loc, lu):
+        return lu.solve(jac_loc @ d[loc.sub.pair_idx]
                         + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
 
-    solves = corrections.lanes.apply(corrections.generation, local,
-                                     zip(dec.subdomains, corrections.systems, strict=True))
+    solves = corrections.lanes.apply(corrections.generation, local, zip(corrections.systems))
     # the ownership sets partition the index set, so negating the whole
     # scatter negates every local contribution
-    return -_scatter_own(dec, solves)
+    return -_scatter_own(corrections.systems, solves, d)
 
 
 def raspen_solve(x0, dec, spec, sched, cfg, krylov, inner_tol, systems, lanes):
@@ -354,10 +351,12 @@ def raspen_solve(x0, dec, spec, sched, cfg, krylov, inner_tol, systems, lanes):
     sched alone: the first evaluation's subdomain solves (the only ones that
     start far from their solutions) follow sched, and every later evaluation
     solves them directly at eps_min (raspen_residual's default schedule), so
-    a fixed sched gives no continuation.  The outer line search accepts
-    every step (sigma = inf).  Every evaluation maps its subdomain solves
-    through lanes, whose next map drops the frozen factors of the last one,
-    so one set is alive at a time.
+    a fixed sched gives no continuation.  A local Newton keeps NewtonConfig's
+    cap of 200 whatever cfg.max_outer says: each first-evaluation local solve
+    of the raspen-2t benchmark takes 16 steps, so a small cap would fail it.
+    The outer line search accepts every step (sigma = inf).  Every evaluation
+    maps its subdomain solves through lanes, whose next map drops the frozen
+    factors of the last one, so one set is alive at a time.
     """
     inner_cfg = NewtonConfig(tol=inner_tol)
     report = SolveReport()

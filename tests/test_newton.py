@@ -421,7 +421,7 @@ def stiff_jacobians(n, mu):
         yield (jacobian(x, spec, eps),
                block_jacobian(spec.a, *split_pair(x), spec, eps),
                -residual(x, spec, eps, check=False))
-        for sub, loc in zip(dec.subdomains, systems):
+        for sub, loc in zip(dec, systems):
             v = x[sub.pair_idx]
             rhs = -residual(x, spec, eps, check=False)[sub.pair_idx]
             yield (pair_jacobian(loc.pattern, *split_pair(v), spec, eps),
@@ -529,7 +529,7 @@ class TestSparseLU:
         grid = Grid(11)
         spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=2)
         dec = decompose(grid, 1, 3, 1)
-        bad_size = dec.subdomains[bad].idx.size
+        bad_size = dec[bad].idx.size
 
         def singular_pair_jacobian(pattern, y, p, spec, eps):
             jac = pair_jacobian(pattern, y, p, spec, eps)
@@ -543,7 +543,7 @@ class TestSparseLU:
         x = np.zeros(2 * grid.size)
         with pytest.raises(LocalSolveError, match="singular") as info:
             with Lanes(2, len(dec)) as lanes:
-                ras_preconditioner(x, dec, spec, 1e-2, build_local_systems(dec, spec),
+                ras_preconditioner(x, spec, 1e-2, build_local_systems(dec, spec),
                                    SolveReport(), lanes)
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
@@ -700,6 +700,42 @@ class TestRefinedSolve:
         assert report.converged and len(made) > 1
         # the solve lets go of the factor it held
         assert all(ref() is None for ref in made)
+
+    def test_held_factor_that_reaches_the_cap_is_replaced(self, monkeypatch):
+        # steps 6 and 7 of the default n=32 newton-eps solve: a fresh factor
+        # of either Jacobian refines in 4 solves, step 6's factor takes 19 to
+        # refine step 7's direction, so a cap of 5 stops it still halving
+        grid = Grid(32)
+        spec, _ = construct_test_problem(grid)
+        iterates = []
+
+        def jac(x, eps):
+            iterates.append((x.copy(), eps))
+            return jacobian(x, spec, eps)
+
+        newton_continuation(np.zeros(2 * grid.size), lambda x, eps: residual(x, spec, eps),
+                            lu_direction(jac), ContinuationSchedule(), NewtonConfig())
+        (x6, eps6), (x7, eps7) = iterates[6:8]
+        jac7, rhs7 = jacobian(x7, spec, eps7), -residual(x7, spec, eps7)
+        monkeypatch.setattr(newton, "MAX_REFINEMENTS", 5)
+        assert refined_solve(jac7, rhs7, float32_lu(jacobian(x6, spec, eps6))) == (None, 5)
+
+        factors = []
+
+        def counting_splu(matrix, **kwargs):
+            factors.append(matrix.dtype)
+            return spla.splu(matrix, **kwargs)
+
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=counting_splu))
+        direction = refined_direction(lambda x, eps: jacobian(x, spec, eps))
+        report = SolveReport()
+        direction(x6, eps6, -residual(x6, spec, eps6), report)
+        d, _ = direction(x7, eps7, rhs7, report)
+        # the held factor missed, so step 7 made a fresh float32 factor
+        assert factors == [np.float32, np.float32]
+        assert report.lu_fallbacks == 0
+        d_ref = sparse_lu(jac7, spla.splu)[0].solve(rhs7)
+        assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
 
     @staticmethod
     def spoiled_splu(spoil, spoil_double):

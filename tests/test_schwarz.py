@@ -52,7 +52,7 @@ def solve_monolithic(spec, eps, tol=1e-12):
 def ras(x, dec, spec, eps):
     """RAS preconditioner at x on freshly built local systems, built inline on
     lanes of its own; they stay open, as closing them makes the apply stale."""
-    return ras_preconditioner(x, dec, spec, eps, build_local_systems(dec, spec),
+    return ras_preconditioner(x, spec, eps, build_local_systems(dec, spec),
                               SolveReport(), Lanes(1, len(dec)))
 
 
@@ -182,32 +182,32 @@ class TestDecompose:
     def test_zero_overlap_blocks(self):
         dec = decompose(Grid(8), 2, 2, 0)
         assert len(dec) == 4
-        for sub in dec.subdomains:
+        for sub in dec:
             assert sub.idx.size == 16
             np.testing.assert_array_equal(sub.pair_idx, sub.pair_own)
             np.testing.assert_array_equal(sub.pair_own_in_local, np.arange(32))
 
     def test_corner_block_with_overlap(self):
         dec = decompose(Grid(8), 2, 2, 2)
-        sub = dec.subdomains[0]
+        sub = dec[0]
         assert rect(sub.idx, 8) == ((0, 6), (0, 6))
         assert rect(owned(sub), 8) == ((0, 4), (0, 4))
         assert sub.idx.size == 36 and owned(sub).size == 16
         # flat indices walk the 6x6 corner rectangle row by row
         assert sub.idx[0] == 0 and sub.idx[5] == 5 and sub.idx[6] == 8
         np.testing.assert_array_equal(sub.pair_idx[sub.pair_own_in_local], sub.pair_own)
-        last = dec.subdomains[3]
+        last = dec[3]
         assert rect(last.idx, 8)[0] == (2, 8) and rect(owned(last), 8)[0] == (4, 8)
 
     def test_overlap_clipped_at_boundary(self):
         dec = decompose(Grid(8), 2, 2, 3)
-        assert rect(dec.subdomains[0].idx, 8)[0] == (0, 7)
-        assert rect(dec.subdomains[3].idx, 8)[0] == (1, 8)
+        assert rect(dec[0].idx, 8)[0] == (0, 7)
+        assert rect(dec[3].idx, 8)[0] == (1, 8)
 
     def test_pair_indexing_consistency(self):
         dec = decompose(Grid(9), 2, 3, 1)
         n2 = 81
-        for sub in dec.subdomains:
+        for sub in dec:
             np.testing.assert_array_equal(sub.pair_idx[:sub.idx.size], sub.idx)
             np.testing.assert_array_equal(sub.pair_idx[sub.idx.size:], sub.idx + n2)
             np.testing.assert_array_equal(
@@ -217,7 +217,7 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [8, 9, 17])
     def test_ownership_partitions_index_set(self, s1, s2, n):
         dec = decompose(Grid(n), s1, s2, 2)
-        pair_owned = np.concatenate([sub.pair_own for sub in dec.subdomains])
+        pair_owned = np.concatenate([sub.pair_own for sub in dec])
         np.testing.assert_array_equal(np.sort(pair_owned), np.arange(2 * n * n))
 
     @pytest.mark.parametrize("s1,s2", [(1, 1), (2, 2), (2, 3), (3, 3)])
@@ -228,7 +228,7 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(2 * n * n)
         out = np.zeros_like(x)
-        for sub in dec.subdomains:
+        for sub in dec:
             v = x[sub.pair_idx]
             out[sub.pair_own] = v[sub.pair_own_in_local]
         np.testing.assert_array_equal(out, x)
@@ -242,7 +242,7 @@ class TestLocalSystems:
         rng = np.random.default_rng(7)
         v = rng.standard_normal(grid.size)
         full = spec.a @ v
-        for sub, loc in zip(dec.subdomains, systems):
+        for sub, loc in zip(dec, systems):
             recomposed = loc.a_loc @ v[sub.idx] + loc.a_ext @ v
             np.testing.assert_allclose(recomposed, full[sub.idx],
                                        rtol=0, atol=1e-10 * np.abs(full).max())
@@ -250,12 +250,19 @@ class TestLocalSystems:
     def test_exterior_part_has_no_local_columns(self):
         grid, spec = mild_problem(10)
         dec = decompose(grid, 2, 2, 2)
-        for sub, loc in zip(dec.subdomains, build_local_systems(dec, spec)):
+        for sub, loc in zip(dec, build_local_systems(dec, spec)):
             assert loc.a_ext[:, sub.idx].nnz == 0
             assert loc.a_loc.shape == (sub.idx.size, sub.idx.size)
             assert loc.a_ext.shape == (sub.idx.size, grid.size)
             np.testing.assert_array_equal(loc.f_loc, spec.f[sub.idx])
             np.testing.assert_array_equal(loc.yd_loc, spec.y_d[sub.idx])
+
+    def test_each_system_carries_its_subdomain(self):
+        grid, spec = mild_problem(10)
+        dec = decompose(grid, 2, 3, 1)
+        systems = build_local_systems(dec, spec)
+        assert isinstance(dec, tuple) and len(systems) == len(dec) == 6
+        assert all(loc.sub is sub for sub, loc in zip(dec, systems))
 
     def test_local_jacobian_is_global_restriction(self):
         grid, spec = mild_problem(8)
@@ -264,7 +271,7 @@ class TestLocalSystems:
         rng = np.random.default_rng(11)
         x = 0.3 * rng.standard_normal(2 * grid.size)
         jac_glob = to_natural(jacobian(x, spec, 1e-2))
-        for sub, loc in zip(dec.subdomains, systems):
+        for sub, loc in zip(dec, systems):
             restricted = jac_glob[sub.pair_idx, :][:, sub.pair_idx]
             local = to_natural(pair_jacobian(loc.pattern, *split_pair(x[sub.pair_idx]),
                                              spec, 1e-2))
@@ -282,7 +289,7 @@ class TestJacobianPattern:
         rng = np.random.default_rng(17)
         cases = [(spec.pattern, spec.a, None)] + [
             (loc.pattern, loc.a_loc, sub.pair_idx)
-            for sub, loc in zip(dec.subdomains, build_local_systems(dec, spec))]
+            for sub, loc in zip(dec, build_local_systems(dec, spec))]
         for pattern, a, idx in cases:
             assembled = []
             for scale in (0.3, 3.0):
@@ -436,7 +443,7 @@ class TestRasPreconditioner:
                 gmres_direction(lambda z, e: jacobian(z, spec, e).__matmul__,
                                 KrylovConfig(rel_tol=1e-10),
                                 lambda z, e: ras_preconditioner(
-                                    z, dec, spec, e, systems, SolveReport(), lanes)),
+                                    z, spec, e, systems, SolveReport(), lanes)),
                 ContinuationSchedule.fixed(1e-2), NewtonConfig(tol=1e-12))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
@@ -453,7 +460,7 @@ class TestLocalCorrection:
         _, corr = raspen_residual(x_sol, dec, spec, 1e-2,
                                   inner_cfg=NewtonConfig(tol=1e-12),
                                   systems=systems)
-        for sub, v in zip(dec.subdomains, corr.values):
+        for sub, v in zip(dec, corr.values):
             assert np.abs(v - x_sol[sub.pair_idx]).max() <= 1e-8
 
     def test_solves_frozen_exterior_system(self, mild16):
@@ -462,7 +469,7 @@ class TestLocalCorrection:
         rng = np.random.default_rng(21)
         x = x_sol + 0.5 * rng.standard_normal(x_sol.shape)
         _, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG, systems=systems)
-        for i, sub in enumerate(dec.subdomains):
+        for i, sub in enumerate(dec):
             res, _ = _local_problem(systems[i], spec, x)
             before = np.linalg.norm(res(x[sub.pair_idx], 1e-2))
             after = np.linalg.norm(res(corr.values[i], 1e-2))
@@ -499,7 +506,7 @@ class TestLocalFactorFailure:
     def failing_splu(self, monkeypatch):
         grid, spec = mild_problem(11)
         dec = decompose(grid, 1, 3, 1)
-        sizes = [2 * sub.idx.size for sub in dec.subdomains]
+        sizes = [2 * sub.idx.size for sub in dec]
         assert len(set(sizes)) == 3
 
         def patch(bad):
@@ -601,10 +608,10 @@ class TestStaleFactors:
         systems = build_local_systems(dec, spec)
         v = np.linspace(-1.0, 1.0, x_sol.size)
         with Lanes(threads, len(dec)) as lanes:
-            first = ras_preconditioner(x_sol, dec, spec, 1e-2, systems,
+            first = ras_preconditioner(x_sol, spec, 1e-2, systems,
                                        SolveReport(), lanes)
             expected = first(v)
-            second = ras_preconditioner(x_sol, dec, spec, 1e-2, systems,
+            second = ras_preconditioner(x_sol, spec, 1e-2, systems,
                                         SolveReport(), lanes)
             with pytest.raises(RuntimeError, match="stale"):
                 first(v)
@@ -648,7 +655,7 @@ class TestRaspen:
         x = x_sol + 0.3 * rng.standard_normal(x_sol.shape)
         f_val, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG)
         scatter = np.zeros_like(x)
-        for sub, v in zip(dec.subdomains, corr.values):
+        for sub, v in zip(dec, corr.values):
             scatter[sub.pair_own] = (v - x[sub.pair_idx])[sub.pair_own_in_local]
         np.testing.assert_array_equal(f_val, scatter)
 
