@@ -62,17 +62,16 @@ def solve_single(cfg, spec=None, x0=None):
                                      newton_cfg), spec)
 
     dec = decompose(spec.grid, cfg.s1, cfg.s2, cfg.overlap)
-    systems = build_local_systems(dec, spec)
-    with Lanes(cfg.threads, len(dec)) as lanes:
+    with Lanes(cfg.threads, build_local_systems(dec, spec)) as lanes:
         if cfg.is_raspen:
-            x, report = raspen_solve(x0, dec, spec, sched, newton_cfg, krylov,
-                                     cfg.inner_tol, systems, lanes)
+            x, report = raspen_solve(x0, spec, sched, newton_cfg, krylov,
+                                     cfg.inner_tol, lanes)
         else:
             report = SolveReport()
             x, _ = newton_continuation(
                 x0, residual_fn,
                 gmres_direction(operator_fn, krylov, lambda x, eps: ras_preconditioner(
-                    x, spec, eps, systems, report, lanes)),
+                    x, spec, eps, report, lanes)),
                 sched, newton_cfg, report=report)
     return x, report, spec
 

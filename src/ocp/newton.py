@@ -262,6 +262,8 @@ def refined_direction(jacobian_fn):
         return d
 
     def direction(x, eps, rhs, report):
+        if not rhs.any():  # refinement's relative residual would divide by 0
+            return np.zeros_like(rhs), None
         jac = jacobian_fn(x, eps)
         d = _guarded(refine, jac, rhs)
         if d is None:

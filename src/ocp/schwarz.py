@@ -9,20 +9,21 @@ Three layers on top of a rectangular tiling with m-cell overlap:
     residual, with the Jacobian action assembled from frozen local
     factorizations and applied matrix-free inside GMRES.
 
-decompose returns the tuple of Subdomains; each LocalSystem carries its
-own as sub, so every subdomain loop walks the local systems alone.  Each
-Schwarz solve opens one set of owner lanes (Lanes), single-thread executors
-through which every subdomain map of the solve runs: the RAS build's local
-factors and RASPEN's local corrections with their frozen factors.
-Subdomain i always runs on lane i mod their number.  SuperLU frees a
+decompose returns the tuple of Subdomains; each LocalSystem carries its own
+as sub.  Each Schwarz solve opens one set of owner lanes (Lanes):
+single-thread executors that hold the solve's local systems beside their
+factors, and through which every subdomain map of the solve runs (the RAS
+build's local factors, RASPEN's local corrections with their frozen
+factors).  Callers hand the lanes iterates and vectors only and get vectors
+back.  Subdomain i always runs on lane i mod their number.  SuperLU frees a
 factor's storage only on the thread that made it (dropped on another
 thread, the storage leaks), so only the lanes hold factors: a map's tasks
-store them on their lanes until the next map or the close, callers get
-vectors, and a use of the store after either raises.  Recombination writes
-are disjoint by the ownership partition, so results do not depend on thread
-scheduling.  The RAS apply and the RASPEN matvec run their local triangular
-solves on the calling thread: on 2 lanes the ras-stiff benchmark's 400 local
-solves ran at a median 0.91x of that speed.
+store them on their lanes until the next map or the close, and a use of the
+store after either raises.  Recombination writes are disjoint by the
+ownership partition, so results do not depend on thread scheduling.  The
+RAS apply and the RASPEN matvec run their local triangular solves on the
+calling thread: on 2 lanes the ras-stiff benchmark's 400 local solves ran
+at a median 0.91x of that speed.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -171,14 +172,18 @@ def _local_problem(loc, spec, x):
     return local_residual, local_jacobian
 
 
-def _factor_at(i, loc, v, spec, eps):
-    """Map task: subdomain i's LU fallbacks and (Jacobian, LU) at v."""
-    jac_loc = pair_jacobian(loc.pattern, *split_pair(v), spec, eps)
+def _factor(i, jac_loc):
+    """Subdomain i's LU fallbacks and its (Jacobian, LU) entry."""
     try:
         lu, fallbacks = sparse_lu(jac_loc, spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
     return fallbacks, (jac_loc, lu)
+
+
+def _factor_at(i, loc, x, spec, eps):
+    """Map task: subdomain i's LU fallbacks and (Jacobian, LU) at the global x."""
+    return _factor(i, pair_jacobian(loc.pattern, *split_pair(x[loc.sub.pair_idx]), spec, eps))
 
 
 def _solve_and_factor(i, loc, spec, x, eps, sched, cfg):
@@ -187,7 +192,7 @@ def _solve_and_factor(i, loc, spec, x, eps, sched, cfg):
     v, report = newton_continuation(x[loc.sub.pair_idx], res, lu_direction(jac), sched, cfg)
     if not report.converged:
         raise LocalSolveError(i, report.failure)
-    fallbacks, entry = _factor_at(i, loc, v, spec, eps)
+    fallbacks, entry = _factor(i, jac(v, eps))
     report.lu_fallbacks += fallbacks
     return (v, report), entry
 
@@ -199,20 +204,22 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def _store(share, i, fn, item):
-    result, share[i] = fn(*item)
+def _store(share, i, fn, loc, args):
+    result, share[i] = fn(i, loc, *args)
     return result
 
 
 class Lanes:
-    """Owner lanes of one Schwarz solve (see above), closed at the end of a
-    with block: min(workers, tasks) single-thread executors, where threads=0
-    means one worker per subdomain, up to usable_cpus(), and a single worker
-    maps on the calling thread.  generation counts the store's drops.
+    """Owner lanes of one Schwarz solve (see above) over its local systems,
+    closed at the end of a with block: min(workers, len(systems)) executors
+    of one thread, where threads=0 means one worker per subdomain, up to
+    usable_cpus(); one worker maps on the calling thread.  generation counts
+    the store's drops.
     """
 
-    def __init__(self, threads, tasks):
-        workers = min(threads or usable_cpus(), tasks)
+    def __init__(self, threads, systems):
+        self.systems = systems
+        workers = min(threads or usable_cpus(), len(systems))
         self._lanes = [] if workers == 1 else [ThreadPoolExecutor(max_workers=1)
                                                for _ in range(workers)]
         self._shares = [{} for _ in range(workers)]
@@ -232,53 +239,52 @@ class Lanes:
             self._shares[0].clear()
         wait([lane.submit(share.clear) for lane, share in zip(self._lanes, self._shares)])
 
-    def map(self, fn, items):
-        """Results of fn(*item) for item in items, item i on lane i % len(lanes).
-
-        fn returns (result, entry); item i's task stores entry as subdomain
-        i's in its lane's share, once the last map's entries are dropped.
-        The first failing item's exception is raised, on lanes once all end.
+    def map(self, fn, *args):
+        """Results of fn(i, loc, *args) for every subdomain i of local system
+        loc, on lane i % len(lanes).  fn returns (result, entry); subdomain
+        i's task stores entry as its own in its lane's share, once the last
+        map's entries are dropped.  The first failing subdomain's exception
+        is raised, on lanes once all end.
         """
         self._drop()
+        n = len(self._shares)
+        tasks = [(self._shares[i % n], i, fn, loc, args) for i, loc in enumerate(self.systems)]
         if not self._lanes:
-            return [_store(self._shares[0], i, fn, item) for i, item in enumerate(items)]
-        n = len(self._lanes)
-        futures = [self._lanes[i % n].submit(_store, self._shares[i % n], i, fn, item)
-                   for i, item in enumerate(items)]
+            return [_store(*task) for task in tasks]
+        futures = [self._lanes[i % n].submit(_store, *task) for i, task in enumerate(tasks)]
         wait(futures)
         return [f.result() for f in futures]
 
-    def apply(self, generation, fn, items):
-        """[fn(*item, *entry) for item in items] on the calling thread, where
-        item i's entry is subdomain i's from the map of that generation."""
+    def apply(self, generation, fn):
+        """[fn(loc, *entry)] over the local systems on the calling thread,
+        where subdomain i's entry is its own from the map of that generation."""
         if generation != self.generation:
             raise RuntimeError("stale subdomain factors: a later map or the close dropped them")
         n = len(self._shares)
-        return [fn(*item, *self._shares[i % n][i]) for i, item in enumerate(items)]
+        return [fn(loc, *self._shares[i % n][i]) for i, loc in enumerate(self.systems)]
+
+    def scatter(self, values, like):
+        """Global pair vector, zeros like `like`, of each subdomain's owned
+        entries of its local vector in values."""
+        out = np.zeros_like(like)
+        for loc, v in zip(self.systems, values):
+            out[loc.sub.pair_own] = v[loc.sub.pair_own_in_local]
+        return out
 
 
-def _scatter_own(systems, values, like):
-    """Global pair vector, zeros like `like`, made of each local vector's owned entries."""
-    out = np.zeros_like(like)
-    for loc, v in zip(systems, values):
-        out[loc.sub.pair_own] = v[loc.sub.pair_own_in_local]
-    return out
-
-
-def ras_preconditioner(x, spec, eps, systems, report, lanes):
+def ras_preconditioner(x, spec, eps, report, lanes):
     """One-level RAS on the current Jacobian as a left-preconditioner callable.
 
-    Subdomain i's local Jacobian is assembled on its lane right before its
+    Each lane restricts x and assembles a local Jacobian right before its
     factor (assembling all blocks first let the allocator return the
     factors' pages: 15x the page faults).  Local LU fallbacks go to report.
     """
-    report.lu_fallbacks += sum(lanes.map(_factor_at, [
-        (i, loc, x[loc.sub.pair_idx], spec, eps) for i, loc in enumerate(systems)]))
+    report.lu_fallbacks += sum(lanes.map(_factor_at, x, spec, eps))
     generation = lanes.generation
 
     def apply(v):
-        return _scatter_own(systems, lanes.apply(
-            generation, lambda loc, _, lu: lu.solve(v[loc.sub.pair_idx]), zip(systems)), v)
+        return lanes.scatter(lanes.apply(
+            generation, lambda loc, _, lu: lu.solve(v[loc.sub.pair_idx])), v)
 
     return apply
 
@@ -289,36 +295,27 @@ class CorrectionSet:
 
     x: np.ndarray
     eps: float
-    values: list
     reports: list  # each subdomain's local SolveReport, its factor counted
-    systems: list = field(repr=False)
     lanes: Lanes = field(repr=False)
     generation: int
 
 
-def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None,
-                    systems=None, lanes=None):
+def raspen_residual(x, dec, spec, eps, inner_cfg, inner_sched=None, lanes=None):
     """Fixed-point residual sum_i P~_i C_i(x) and the frozen local solves.
 
     Each subdomain task solves its frozen-exterior system and factors its
     local Jacobian at the result, so one parallel pass yields both the
-    residual and everything the Jacobian action needs.  The returned
-    residual is scatter_own(local values) - x, which equals the ownership
-    recombination of the local displacements since the ownership sets
-    partition the index set; corrections.values[i] is subdomain i's local
-    correction and f_val + x one nonlinear RAS sweep.  The tasks run on
-    lanes, or inline on lanes of their own when lanes is None.
+    residual and everything the Jacobian action needs.  The residual, the
+    corrections' owned entries scattered minus x, equals the ownership
+    recombination of the local displacements (the ownership sets partition
+    the index set), and f_val + x is one nonlinear RAS sweep.  The tasks run
+    on lanes, or inline on lanes of their own over dec's systems if lanes is None.
     """
-    systems = systems if systems is not None else build_local_systems(dec, spec)
-    lanes = lanes if lanes is not None else Lanes(1, len(systems))
+    lanes = lanes if lanes is not None else Lanes(1, build_local_systems(dec, spec))
     sched = inner_sched if inner_sched is not None else ContinuationSchedule.fixed(eps)
-
-    tasks = [(i, loc, spec, x, eps, sched, inner_cfg) for i, loc in enumerate(systems)]
-    values, reports = (list(column) for column in zip(*lanes.map(_solve_and_factor, tasks)))
-
-    return _scatter_own(systems, values, x) - x, CorrectionSet(
-        x=x.copy(), eps=eps, values=values, reports=reports, systems=systems,
-        lanes=lanes, generation=lanes.generation)
+    values, reports = zip(*lanes.map(_solve_and_factor, spec, x, eps, sched, inner_cfg))
+    return lanes.scatter(values, x) - x, CorrectionSet(
+        x=x.copy(), eps=eps, reports=list(reports), lanes=lanes, generation=lanes.generation)
 
 
 def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
@@ -328,7 +325,7 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
     corrected point x^(i) (local values inside the subdomain, x outside); the
     diagonal coupling blocks are local, so the only exterior reach of R_i F' d
     is through the operator stencil, supplied by a_ext.  dec and spec are
-    unused: corrections carries the local systems and their factors.
+    unused: corrections' lanes hold the local systems and their factors.
     """
     if corrections.eps != eps or not np.array_equal(corrections.x, x):
         raise RuntimeError("stale corrections: recompute raspen_residual at this iterate")
@@ -338,13 +335,13 @@ def raspen_jacobian_apply(x, d, dec, spec, eps, corrections):
         return lu.solve(jac_loc @ d[loc.sub.pair_idx]
                         + np.concatenate([loc.a_ext @ dy, loc.a_ext @ dp]))
 
-    solves = corrections.lanes.apply(corrections.generation, local, zip(corrections.systems))
+    lanes = corrections.lanes
     # the ownership sets partition the index set, so negating the whole
     # scatter negates every local contribution
-    return -_scatter_own(corrections.systems, solves, d)
+    return -lanes.scatter(lanes.apply(corrections.generation, local), d)
 
 
-def raspen_solve(x0, dec, spec, sched, cfg, krylov, inner_tol, systems, lanes):
+def raspen_solve(x0, spec, sched, cfg, krylov, inner_tol, lanes):
     """Outer Newton on the fixed-point residual at eps_min, full steps.
 
     krylov is the outer GMRES's KrylovConfig.  The inner schedule comes from
@@ -363,18 +360,19 @@ def raspen_solve(x0, dec, spec, sched, cfg, krylov, inner_tol, systems, lanes):
     state = {}
 
     def residual_fn(x, eps):
-        # the last local values go before the map: kept across it, they pin
-        # the lanes' heaps (+4.6 MB raspen-2t peak RSS on a 2-core host)
+        # the last corrections go before the map: kept across it, their
+        # lane-built reports pin the lanes' heaps (+4.6 MB raspen-2t peak RSS
+        # on a 2-core host, with the local values still in the record)
         state.clear()
         inner_sched = None if report.inner_iters else sched
-        f_val, state["corr"] = raspen_residual(x, dec, spec, eps, inner_cfg,
-                                               inner_sched, systems, lanes)
+        f_val, state["corr"] = raspen_residual(x, None, spec, eps, inner_cfg,
+                                               inner_sched, lanes)
         report.inner_iters.append(max(r.outer_iters for r in state["corr"].reports))
         report.lu_fallbacks += sum(r.lu_fallbacks for r in state["corr"].reports)
         return f_val
 
     def operator_fn(x, eps):
-        return lambda d: raspen_jacobian_apply(x, d, dec, spec, eps, state["corr"])
+        return lambda d: raspen_jacobian_apply(x, d, None, spec, eps, state["corr"])
 
     return newton_continuation(x0, residual_fn, gmres_direction(operator_fn, krylov),
                                ContinuationSchedule.fixed(sched.eps_min),

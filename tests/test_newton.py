@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ocp.grid import Grid, NonfiniteFieldError
+from ocp.grid import Grid, NonfiniteFieldError, build_laplacian
 from ocp.harness.config import build_config
 import ocp.harness.experiments as experiments
 from ocp.harness.experiments import solve_single
@@ -22,8 +22,8 @@ from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
-from ocp.system import (construct_test_problem, jacobian, pair_jacobian, residual,
-                        split_pair)
+from ocp.system import (Nonlinearity, ProblemSpec, construct_test_problem, jacobian,
+                        pair_jacobian, residual, split_pair)
 
 from support import block_jacobian, natural
 
@@ -542,9 +542,8 @@ class TestSparseLU:
         monkeypatch.setattr(schwarz, "pair_jacobian", singular_pair_jacobian)
         x = np.zeros(2 * grid.size)
         with pytest.raises(LocalSolveError, match="singular") as info:
-            with Lanes(2, len(dec)) as lanes:
-                ras_preconditioner(x, spec, 1e-2, build_local_systems(dec, spec),
-                                   SolveReport(), lanes)
+            with Lanes(2, build_local_systems(dec, spec)) as lanes:
+                ras_preconditioner(x, spec, 1e-2, SolveReport(), lanes)
         assert info.value.subdomain == bad
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2, NewtonConfig(tol=1e-8))
@@ -736,6 +735,27 @@ class TestRefinedSolve:
         assert report.lu_fallbacks == 0
         d_ref = sparse_lu(jac7, spla.splu)[0].solve(rhs7)
         assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
+
+    def test_zero_right_hand_side_is_no_fallback(self, monkeypatch):
+        # kappa = 0 and f = y_d = 0: x = 0 solves every eps, so each
+        # continuation step asks for the direction of a zero right-hand side
+        grid = Grid(8)
+        spec = ProblemSpec(grid=grid, a=build_laplacian(grid), phi=Nonlinearity(0.0),
+                           nu=1e-2, mu=1.0, f=np.zeros(grid.size), y_d=np.zeros(grid.size))
+        factors = []
+
+        def counting_splu(matrix, **kwargs):
+            factors.append(matrix.dtype)
+            return spla.splu(matrix, **kwargs)
+
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=counting_splu))
+        cfg = build_config(overrides=dict(method="newton-eps", n=8, kappa=0.0, nu=1e-2,
+                                          eps_min=1e-4, linear_solver="direct"))
+        x, report, _ = solve_single(cfg, spec)
+        assert report.converged and report.outer_iters == 6
+        assert report.lu_fallbacks == 0
+        np.testing.assert_array_equal(x, np.zeros(2 * grid.size))
+        assert factors == []
 
     @staticmethod
     def spoiled_splu(spoil, spoil_double):

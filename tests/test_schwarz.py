@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ import ocp.newton as newton
 from ocp.newton import (ContinuationSchedule, NewtonConfig, SolveReport,
                         gmres_direction, lu_direction, newton_continuation)
 import ocp.schwarz as schwarz
-from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _tile_edges,
-                         build_local_systems, decompose, ras_preconditioner,
-                         raspen_jacobian_apply, raspen_residual, raspen_solve)
+from ocp.schwarz import (Lanes, LocalSolveError, _local_problem, _solve_and_factor,
+                         _tile_edges, build_local_systems, decompose,
+                         ras_preconditioner, raspen_jacobian_apply, raspen_residual,
+                         raspen_solve)
 import ocp.system as system
 from ocp.system import (PAIR_DIAGONALS, STATE_DIAGONALS, JacobianPattern, Nonlinearity,
                         ProblemSpec, construct_test_problem, jacobian, pair_jacobian,
@@ -52,8 +54,8 @@ def solve_monolithic(spec, eps, tol=1e-12):
 def ras(x, dec, spec, eps):
     """RAS preconditioner at x on freshly built local systems, built inline on
     lanes of its own; they stay open, as closing them makes the apply stale."""
-    return ras_preconditioner(x, spec, eps, build_local_systems(dec, spec),
-                              SolveReport(), Lanes(1, len(dec)))
+    return ras_preconditioner(x, spec, eps, SolveReport(),
+                              Lanes(1, build_local_systems(dec, spec)))
 
 
 # the outer configuration of the RASPEN tests and its GMRES budget
@@ -64,9 +66,16 @@ INNER_CFG = NewtonConfig(tol=1e-8)
 
 
 def raspen(x0, dec, spec, sched, cfg=RASPEN_CFG, threads=0):
-    with Lanes(threads, len(dec)) as lanes:
-        return raspen_solve(x0, dec, spec, sched, cfg, RASPEN_KRYLOV, 1e-8,
-                            build_local_systems(dec, spec), lanes)
+    with Lanes(threads, build_local_systems(dec, spec)) as lanes:
+        return raspen_solve(x0, spec, sched, cfg, RASPEN_KRYLOV, 1e-8, lanes)
+
+
+def local_values(x, dec, spec, eps, inner_cfg):
+    """Each subdomain's local correction at x, the vectors whose owned
+    entries raspen_residual scatters, by the map task it runs."""
+    with Lanes(1, build_local_systems(dec, spec)) as lanes:
+        return [v for v, _ in lanes.map(_solve_and_factor, spec, x, eps,
+                                        ContinuationSchedule.fixed(eps), inner_cfg)]
 
 
 def mild16_config(method, threads):
@@ -435,15 +444,14 @@ class TestRasPreconditioner:
 
     def test_preconditioned_newton_matches_direct(self, mild16):
         grid, spec, dec, x_sol = mild16
-        systems = build_local_systems(dec, spec)
         x0 = np.zeros(2 * grid.size)
-        with Lanes(2, len(dec)) as lanes:
+        with Lanes(2, build_local_systems(dec, spec)) as lanes:
             x, report = newton_continuation(
                 x0, lambda z, e: residual(z, spec, e, check=False),
                 gmres_direction(lambda z, e: jacobian(z, spec, e).__matmul__,
                                 KrylovConfig(rel_tol=1e-10),
                                 lambda z, e: ras_preconditioner(
-                                    z, spec, e, systems, SolveReport(), lanes)),
+                                    z, spec, e, SolveReport(), lanes)),
                 ContinuationSchedule.fixed(1e-2), NewtonConfig(tol=1e-12))
         assert report.converged
         assert all(k is not None and k >= 1 for k in report.gmres_iters)
@@ -451,16 +459,14 @@ class TestRasPreconditioner:
 
 
 class TestLocalCorrection:
-    # raspen_residual is the one local-solve path: corr.values[i] is the
-    # local correction of subdomain i and f_val + x one nonlinear RAS sweep
+    # raspen_residual's map task is the one local-solve path: local_values
+    # gives subdomain i's local correction, and f_val + x is one nonlinear
+    # RAS sweep
 
     def test_values_restrict_global_solution(self, mild16):
         grid, spec, dec, x_sol = mild16
-        systems = build_local_systems(dec, spec)
-        _, corr = raspen_residual(x_sol, dec, spec, 1e-2,
-                                  inner_cfg=NewtonConfig(tol=1e-12),
-                                  systems=systems)
-        for sub, v in zip(dec, corr.values):
+        values = local_values(x_sol, dec, spec, 1e-2, NewtonConfig(tol=1e-12))
+        for sub, v in zip(dec, values):
             assert np.abs(v - x_sol[sub.pair_idx]).max() <= 1e-8
 
     def test_solves_frozen_exterior_system(self, mild16):
@@ -468,11 +474,11 @@ class TestLocalCorrection:
         systems = build_local_systems(dec, spec)
         rng = np.random.default_rng(21)
         x = x_sol + 0.5 * rng.standard_normal(x_sol.shape)
-        _, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG, systems=systems)
+        values = local_values(x, dec, spec, 1e-2, INNER_CFG)
         for i, sub in enumerate(dec):
             res, _ = _local_problem(systems[i], spec, x)
             before = np.linalg.norm(res(x[sub.pair_idx], 1e-2))
-            after = np.linalg.norm(res(corr.values[i], 1e-2))
+            after = np.linalg.norm(res(values[i], 1e-2))
             assert after <= 1.1e-8 * max(1.0, before)
 
     def test_solution_is_sweep_fixed_point(self, mild16):
@@ -484,13 +490,12 @@ class TestLocalCorrection:
 
     def test_sweeps_contract_toward_solution(self, mild16):
         grid, spec, dec, x_sol = mild16
-        systems = build_local_systems(dec, spec)
+        lanes = Lanes(1, build_local_systems(dec, spec))
         x = np.zeros_like(x_sol)
         err0 = np.abs(x - x_sol).max()
         errs = []
         for _ in range(60):
-            f_val, _ = raspen_residual(x, dec, spec, 1e-2, INNER_CFG,
-                                       systems=systems)
+            f_val, _ = raspen_residual(x, dec, spec, 1e-2, INNER_CFG, lanes=lanes)
             x = f_val + x
             errs.append(np.abs(x - x_sol).max())
             if errs[-1] <= 1e-8 * err0:
@@ -553,7 +558,7 @@ class TestLocalFactorFailure:
                                              threads):
         grid, spec, dec, patch = failing_splu
         patch(bad)
-        with Lanes(threads, len(dec)) as lanes:
+        with Lanes(threads, build_local_systems(dec, spec)) as lanes:
             with pytest.raises(LocalSolveError, match="singular") as info:
                 raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2, INNER_CFG,
                                 lanes=lanes)
@@ -569,7 +574,7 @@ class TestLocalFactorFailure:
         for bad in (2, 1):
             patch(bad)
         # subdomains 1 and 2 fail on different lanes; 1 comes first in order
-        with Lanes(2, len(dec)) as lanes:
+        with Lanes(2, build_local_systems(dec, spec)) as lanes:
             with pytest.raises(LocalSolveError) as info:
                 raspen_residual(np.zeros(2 * grid.size), dec, spec, 1e-2, INNER_CFG,
                                 lanes=lanes)
@@ -605,14 +610,11 @@ class TestStaleFactors:
     def test_ras_apply_after_a_later_map_or_the_close(self, mild16, factor_log,
                                                       threads):
         grid, spec, dec, x_sol = mild16
-        systems = build_local_systems(dec, spec)
         v = np.linspace(-1.0, 1.0, x_sol.size)
-        with Lanes(threads, len(dec)) as lanes:
-            first = ras_preconditioner(x_sol, spec, 1e-2, systems,
-                                       SolveReport(), lanes)
+        with Lanes(threads, build_local_systems(dec, spec)) as lanes:
+            first = ras_preconditioner(x_sol, spec, 1e-2, SolveReport(), lanes)
             expected = first(v)
-            second = ras_preconditioner(x_sol, spec, 1e-2, systems,
-                                        SolveReport(), lanes)
+            second = ras_preconditioner(x_sol, spec, 1e-2, SolveReport(), lanes)
             with pytest.raises(RuntimeError, match="stale"):
                 first(v)
             np.testing.assert_array_equal(second(v), expected)
@@ -625,14 +627,11 @@ class TestStaleFactors:
     def test_raspen_matvec_after_a_later_map_or_the_close(self, mild16, factor_log,
                                                           threads):
         grid, spec, dec, x_sol = mild16
-        systems = build_local_systems(dec, spec)
         d = np.linspace(-1.0, 1.0, x_sol.size)
-        with Lanes(threads, len(dec)) as lanes:
-            _, first = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG,
-                                       systems=systems, lanes=lanes)
+        with Lanes(threads, build_local_systems(dec, spec)) as lanes:
+            _, first = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG, lanes=lanes)
             expected = raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, first)
-            _, second = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG,
-                                        systems=systems, lanes=lanes)
+            _, second = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG, lanes=lanes)
             with pytest.raises(RuntimeError, match="stale"):
                 raspen_jacobian_apply(x_sol, d, dec, spec, 1e-2, first)
             np.testing.assert_array_equal(
@@ -647,15 +646,15 @@ class TestRaspen:
         grid, spec, dec, x_sol = mild16
         f_val, corr = raspen_residual(x_sol, dec, spec, 1e-2, INNER_CFG)
         assert np.abs(f_val).max() <= 1e-8
-        assert len(corr.values) == 4
+        assert len(corr.reports) == len(corr.lanes.systems) == 4
 
     def test_residual_equals_displacement_recombination(self, mild16):
         grid, spec, dec, x_sol = mild16
         rng = np.random.default_rng(31)
         x = x_sol + 0.3 * rng.standard_normal(x_sol.shape)
-        f_val, corr = raspen_residual(x, dec, spec, 1e-2, INNER_CFG)
+        f_val, _ = raspen_residual(x, dec, spec, 1e-2, INNER_CFG)
         scatter = np.zeros_like(x)
-        for sub, v in zip(dec, corr.values):
+        for sub, v in zip(dec, local_values(x, dec, spec, 1e-2, INNER_CFG)):
             scatter[sub.pair_own] = (v - x[sub.pair_idx])[sub.pair_own_in_local]
         np.testing.assert_array_equal(f_val, scatter)
 
@@ -733,6 +732,28 @@ class TestRaspen:
         assert rep_c.converged and rep_p.converged
         scale = max(1.0, np.abs(x_c).max())
         assert np.abs(x_c - x_p).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_previous_corrections_dead_at_each_evaluation(self, mild16, monkeypatch,
+                                                          threads):
+        # raspen_solve drops the last CorrectionSet before the next map: kept
+        # across it, its lane-built reports pin the lanes' heaps
+        grid, spec, dec, _ = mild16
+        real = schwarz.raspen_residual
+        last, alive = [], []
+
+        def watched(*args, **kwargs):
+            alive.append(bool(last) and last[-1]() is not None)
+            f_val, corr = real(*args, **kwargs)
+            last.append(weakref.ref(corr))
+            return f_val, corr
+
+        monkeypatch.setattr(schwarz, "raspen_residual", watched)
+        _, report = raspen(np.zeros(2 * grid.size), dec, spec,
+                           ContinuationSchedule(1.0, 0.2, 1e-3), threads=threads)
+        assert report.converged
+        assert len(alive) == report.outer_iters + 1 >= 3
+        assert not any(alive)
 
     def test_solve_is_deterministic_across_threads(self, mild16):
         grid, spec, dec, _ = mild16
@@ -852,19 +873,17 @@ class TestRaspen:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert schwarz.usable_cpus() == 1
         built = self.count_lanes(monkeypatch)
-        with Lanes(0, 4) as lanes:
-            ran_on = lanes.map(lambda i: (threading.current_thread(), None),
-                               [(i,) for i in range(4)])
+        with Lanes(0, [None] * 4) as lanes:
+            ran_on = lanes.map(lambda i, loc: (threading.current_thread(), None))
         assert ran_on == [threading.current_thread()] * 4
         assert built == []
         monkeypatch.delattr(os, "sched_getaffinity")
         assert schwarz.usable_cpus() == 8
 
     def test_subdomain_owns_its_lane(self):
-        # item i runs on lane i % len(lanes) in every map of a set of lanes
-        with Lanes(2, 5) as lanes:
-            maps = [lanes.map(lambda i: (threading.current_thread(), None),
-                              [(i,) for i in range(5)])
+        # subdomain i runs on lane i % len(lanes) in every map of a set of lanes
+        with Lanes(2, [None] * 5) as lanes:
+            maps = [lanes.map(lambda i, loc: (threading.current_thread(), None))
                     for _ in range(2)]
         assert maps[0] == maps[1]
         assert maps[0][0] is maps[0][2] is maps[0][4]
@@ -875,24 +894,24 @@ class TestRaspen:
     def test_lanes_keep_results_until_next_map_or_close(self, threads):
         log = []
 
-        def make(i):
-            if i == 3:
+        def make(i, loc, bad):
+            if i == bad:
                 raise LocalSolveError(i, "injected")
             return i, (None, LoggedFactor(None, log))
 
         def alive():
             return [r["freed"] is None for r in log]
 
-        with Lanes(threads, 5) as lanes:
+        with Lanes(threads, [None] * 5) as lanes:
             # the map returns the results, and the store keeps the entries
-            assert lanes.map(make, [(i,) for i in range(3)]) == [0, 1, 2]
-            assert alive() == [True] * 3
+            assert lanes.map(make, None) == [0, 1, 2, 3, 4]
+            assert alive() == [True] * 5
             with pytest.raises(LocalSolveError):
-                lanes.map(make, [(i,) for i in range(5)])
+                lanes.map(make, 3)
             # a failed map keeps what its other tasks stored: inline, the
-            # tasks before the failing item; on lanes, all the others
+            # tasks before the failing subdomain; on lanes, all the others
             kept = [True] * (4 if threads > 1 else 3)
-            assert alive() == [False] * 3 + kept
+            assert alive() == [False] * 5 + kept
         assert not any(alive())
         assert_freed_where_made(log)
 
@@ -902,22 +921,19 @@ class TestRaspen:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with Lanes(4, 64) as lanes:
+            with Lanes(4, list(range(64))) as lanes:
                 for k in range(20):
-                    items = [(i,) for i in range(64)]
-                    assert lanes.map(lambda i: (i, (i, k)), items) == list(range(64))
-                    assert (lanes.apply(lanes.generation, lambda *ids: ids, items)
+                    assert lanes.map(lambda i, loc: (i, (i, k))) == list(range(64))
+                    assert (lanes.apply(lanes.generation, lambda *ids: ids)
                             == [(i, i, k) for i in range(64)])
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_apply_runs_on_the_calling_thread(self, threads):
-        # item i meets subdomain i's entry, whichever lane stored it
-        with Lanes(threads, 3) as lanes:
-            lanes.map(lambda i: (None, (threading.current_thread(), 10 * i)),
-                      [(i,) for i in range(3)])
+        # subdomain i's system meets its entry, whichever lane stored it
+        with Lanes(threads, list(range(3))) as lanes:
+            lanes.map(lambda i, loc: (None, (threading.current_thread(), 10 * i)))
             out = lanes.apply(lanes.generation,
-                              lambda i, made, value: (i, value, threading.current_thread()),
-                              [(i,) for i in range(3)])
+                              lambda i, made, value: (i, value, threading.current_thread()))
         assert out == [(i, 10 * i, threading.current_thread()) for i in range(3)]
