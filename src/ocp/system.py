@@ -22,8 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .grid import Grid, build_laplacian, check_finite
 from .krylov import SolverFault
-from .newton import (ContinuationSchedule, NewtonConfig, Ordered, lu_direction,
-                     newton_continuation)
+from .newton import (SUPERLU_STORED, ContinuationSchedule, NewtonConfig, Ordered,
+                     lu_direction, newton_continuation)
 from .smoothing import smoothed_projection, smoothed_projection_derivative
 
 # exp(700) is near the double-precision ceiling; larger arguments only occur
@@ -164,16 +164,17 @@ class JacobianPattern:
     The point order is SuperLU's symmetric-mode minimum-degree order on
     a + I, so every pattern of one operator, state or pair, has the same
     one.  SuperLU fixes that order before its numeric phase, so it is read
-    off an incomplete factor that drops every off-diagonal entry: the same
-    perm_c as a complete factor's, at a third of its cost.
+    off an incomplete factor, made with SUPERLU_STORED but in that order, that
+    drops every off-diagonal entry: the same perm_c as a complete factor's,
+    at about a third of its cost.
     """
 
     def __init__(self, a, diagonals):
         n, blocks = a.shape[0], 1 + max(max(block) for block in diagonals)
         # perm_c[k] is the position of point k; the factor is freed at once
         points = np.argsort(spla.spilu(
-            (a + sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options=dict(SymmetricMode=True), drop_tol=np.inf, fill_factor=1).perm_c)
+            (a + sp.identity(n)).tocsc(), **{**SUPERLU_STORED, "permc_spec": "MMD_AT_PLUS_A"},
+            drop_tol=np.inf, fill_factor=1).perm_c)
         self.order = (points[:, None] + n * np.arange(blocks)).ravel()
         self.position = np.argsort(self.order)
         coo, k, size = a.tocoo(), np.arange(n), blocks * n

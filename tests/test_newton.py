@@ -22,8 +22,8 @@ from ocp.newton import (ContinuationSchedule, LinearSolveError, LineSearchError,
 import ocp.schwarz as schwarz
 from ocp.schwarz import (Lanes, LocalSolveError, build_local_systems,
                          decompose, ras_preconditioner, raspen_residual)
-from ocp.system import (Nonlinearity, ProblemSpec, construct_test_problem, jacobian,
-                        pair_jacobian, residual, split_pair)
+from ocp.system import (JacobianPattern, Nonlinearity, ProblemSpec, construct_test_problem,
+                        jacobian, pair_jacobian, residual, split_pair)
 
 from support import block_jacobian, natural
 
@@ -498,7 +498,7 @@ class TestSparseLU:
         assert report.lu_fallbacks == 1
         np.testing.assert_array_equal(x, x_ref)
 
-    def test_spoiled_ordered_factor_falls_back_once(self):
+    def test_spoiled_ordered_factor_falls_back_once(self, monkeypatch):
         grid = Grid(6)
         spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=1)
         rng = np.random.default_rng(6)
@@ -508,8 +508,13 @@ class TestSparseLU:
         splu, calls = self.spoiled_splu(lambda z: z * (1.0 + 1e-8))
         lu, fallbacks = sparse_lu(jac, splu)
         assert fallbacks == 1
-        # the ordered matrix is factored as stored, then with the defaults
-        assert [call.get("permc_spec") for call in calls] == ["NATURAL", None]
+        # the ordered matrix is factored as stored in one-column panels, as
+        # float32_lu factors it, then with splu's defaults
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+        assert float32_lu(jac) is not None
+        stored = dict(permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1,
+                      options=dict(SymmetricMode=True))
+        assert calls == [stored, {}, stored]
         expected = np.empty_like(rhs)
         expected[jac.order] = spla.splu(jac.stored).solve(rhs[jac.order])
         np.testing.assert_array_equal(lu.solve(rhs), expected)
@@ -548,6 +553,48 @@ class TestSparseLU:
         with pytest.raises(LocalSolveError, match="factorization failed") as info:
             raspen_residual(x, dec, spec, 1e-2, NewtonConfig(tol=1e-8))
         assert info.value.subdomain == bad
+
+
+class TestOneColumnPanels:
+    """newton.SUPERLU_STORED against the same setting in SuperLU's default
+    panels of 20 columns, on the Jacobians of stiff continuation solves."""
+
+    @staticmethod
+    def probe(jac, settings, dtype):
+        """Fill of jac's stored matrix factored in dtype with settings, and
+        the relative residual of that factor's solve of jac z = jac @ ones."""
+        matrix = jac.stored
+        lu = spla.splu(matrix.astype(dtype), **settings)
+        b = matrix @ np.ones(matrix.shape[0])
+        z = lu.solve(b.astype(dtype))
+        return lu.nnz, np.linalg.norm(matrix @ z - b) / np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("mu", [1.0, 1e-4])
+    def test_same_fill_and_accuracy_as_default_panels(self, n, mu, monkeypatch):
+        # the state Jacobians of the construction's state solve, then the
+        # monolithic pair Jacobians in double and single precision and the
+        # 2x2 subdomain Jacobians of a continuation solve
+        states, real_assemble = [], JacobianPattern.assemble
+        with monkeypatch.context() as patch:
+            patch.setattr(JacobianPattern, "assemble",
+                          lambda pattern, diagonals: states.append(
+                              real_assemble(pattern, diagonals)) or states[-1])
+            construct_test_problem(Grid(n), nu=1e-8, mu=mu)
+        cases = [(jac, np.float64) for jac in states]
+        for jac, _, _ in stiff_jacobians(n, mu):
+            cases.append((jac, np.float64))
+            if jac.stored.shape[0] == 2 * n * n:
+                cases.append((jac, np.float32))
+        assert len(states) >= 2 and {jac.stored.shape[0] for jac, _ in cases} == {
+            n * n, 2 * n * n, 2 * (n // 2 + 2) ** 2}
+        default_panels = {key: value for key, value in newton.SUPERLU_STORED.items()
+                          if key != "panel_size"}
+        for jac, dtype in cases:
+            fill, rel = self.probe(jac, newton.SUPERLU_STORED, dtype)
+            fill_ref, rel_ref = self.probe(jac, default_panels, dtype)
+            assert fill == fill_ref
+            assert rel <= 2 * rel_ref
 
 
 class TestRefinedSolve:
