@@ -113,12 +113,13 @@ def run_single(cfg, out_dir):
 
 
 def _benchmark_row(cfg, report):
+    # a failed cell's averages are roundoff noise, so its row leaves them empty
     return BenchmarkRow(
         method=cfg.method, n=cfg.n, subdomains=cfg.subdomains,
         eps_min=cfg.eps_min, nu=cfg.nu, mu=cfg.mu, gamma=cfg.gamma,
         eps0=cfg.eps0, outer_iters=report.outer_iters,
-        avg_inner_iters=report.avg_inner_iters,
-        avg_gmres_iters=report.avg_gmres_iters,
+        avg_inner_iters=report.avg_inner_iters if report.converged else None,
+        avg_gmres_iters=report.avg_gmres_iters if report.converged else None,
         wall_time_s=report.wall_time, converged=report.converged,
         failure=report.failure)
 

@@ -145,33 +145,35 @@ class Ordered:
         return self.stored.solve(b[self.order])[self.position]
 
 
-def sparse_lu(jac, splu):
-    """Ordered SuperLU factor of the Ordered jac; returns (factor, fallbacks).
+def sparse_lu(jac, splu, rhs=None):
+    """Ordered SuperLU factor of the Ordered jac, its fallbacks, and the
+    solution z of jac z = b, b being rhs or, if rhs is None, jac @ ones.
 
     It makes every double-precision Jacobian factor: the state solve's, the
     local factors of RAS and RASPEN, and the fallback of a refined_direction
-    that refinement rejects.  Each of them is stored in its pattern's
-    fill-reducing order, so it is factored as stored with SUPERLU_STORED:
-    in symmetric mode with diagonal pivots, which fills far less than COLAMD
-    with partial pivoting, and in one-column panels.  Without pivoting the
-    factor may be inaccurate, so it is kept only if it solves
-    jac z = jac @ ones to a relative residual of LU_PROBE_TOL.  Otherwise,
-    or if that factorization raises, the stored matrix is refactored with
-    splu's defaults and fallbacks is 1; a singular jac raises from there.
+    that refinement rejects.  Each is stored in its pattern's fill-reducing
+    order, so it is factored as stored with SUPERLU_STORED: in symmetric mode
+    with diagonal pivots, which fills far less than COLAMD with partial
+    pivoting, and in one-column panels.  Without pivoting the factor may be
+    inaccurate, so it is kept only if ||jac z - b|| <= LU_PROBE_TOL ||b||, so
+    a direction is its own probe.  Otherwise, or if that factorization raises,
+    the stored matrix is refactored with splu's defaults, which solve for z,
+    and fallbacks is 1; a singular jac raises from there.
     """
     matrix = jac.stored
+    b = matrix @ np.ones(matrix.shape[0]) if rhs is None else rhs[jac.order]
     try:
         lu = splu(matrix, **SUPERLU_STORED)
-        b = matrix @ np.ones(matrix.shape[0])
         with np.errstate(all="ignore"):
-            probe = np.linalg.norm(matrix @ lu.solve(b) - b) / np.linalg.norm(b)
-        fallbacks = 0 if probe <= LU_PROBE_TOL else 1
+            z = lu.solve(b)
+            fallbacks = 0 if np.linalg.norm(matrix @ z - b) <= LU_PROBE_TOL * np.linalg.norm(b) else 1
     except RuntimeError:
         fallbacks = 1
     if fallbacks:
         lu = None  # free the rejected factor before making its replacement
         lu = splu(matrix)
-    return Ordered(lu, jac.order, jac.position), fallbacks
+        z = lu.solve(b)
+    return Ordered(lu, jac.order, jac.position), fallbacks, z[jac.position]
 
 
 def float32_lu(jac):
@@ -215,23 +217,18 @@ def refined_solve(jac, rhs, lu):
     return (d[jac.position] if not halved and rel <= LU_PROBE_TOL else None), solves
 
 
-def _guarded(fn, *args):
-    """fn(*args), a RuntimeError of which ends the solve as a LinearSolveError."""
+def _lu_solve(jac, rhs, report):
+    """Solution of jac d = rhs by sparse_lu, its fallback counted; a failed factor ends the solve."""
     try:
-        return fn(*args)
+        _, fallbacks, d = sparse_lu(jac, spla.splu, rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-
-
-def _lu_solve(jac, rhs, report):
-    """Solution of jac d = rhs by the guarded sparse LU, its fallback counted."""
-    lu, fallbacks = _guarded(sparse_lu, jac, spla.splu)
     report.lu_fallbacks += fallbacks
-    return lu.solve(rhs)
+    return d
 
 
 def lu_direction(jacobian_fn):
-    """Direction function of the guarded sparse LU of jacobian_fn(x, eps)."""
+    """Direction function of one sparse_lu factor and solve of jacobian_fn(x, eps)."""
     return lambda x, eps, rhs, report: (_lu_solve(jacobian_fn(x, eps), rhs, report), None)
 
 
@@ -244,8 +241,8 @@ def refined_direction(jacobian_fn):
     kept direction took more than REFRESH_SOLVES solves is stale: that
     direction is returned and the next step makes a fresh factor (the rule
     counts solves, so reruns make the same factors).  A direction that no
-    fresh factor gives is counted in the report and solved by the guarded
-    sparse LU, whose fallback counts too.
+    fresh factor gives is counted in the report and solved by sparse_lu,
+    whose fallback counts too.
     """
     held = None
 
@@ -267,7 +264,7 @@ def refined_direction(jacobian_fn):
         if not rhs.any():  # refinement's relative residual would divide by 0
             return np.zeros_like(rhs), None
         jac = jacobian_fn(x, eps)
-        d = _guarded(refine, jac, rhs)
+        d = refine(jac, rhs)
         if d is None:
             report.lu_fallbacks += 1
             d = _lu_solve(jac, rhs, report)

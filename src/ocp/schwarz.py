@@ -175,7 +175,7 @@ def _local_problem(loc, spec, x):
 def _factor(i, jac_loc):
     """Subdomain i's LU fallbacks and its (Jacobian, LU) entry."""
     try:
-        lu, fallbacks = sparse_lu(jac_loc, spla.splu)
+        lu, fallbacks, _ = sparse_lu(jac_loc, spla.splu)
     except RuntimeError as exc:
         raise LocalSolveError(i, f"singular local Jacobian: {exc}") from exc
     return fallbacks, (jac_loc, lu)

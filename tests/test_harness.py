@@ -422,6 +422,18 @@ class TestRunTable:
         assert bad and all(row.failure for row in bad)
         assert (tmp_path / "table_mono.csv").exists()
 
+    def test_failed_cell_leaves_averages_empty(self, tmp_path):
+        # two outer iterations end a raspen-eps cell early: its averages
+        # stay empty in the CSV, its outer count and failure are kept
+        base = mild_config(s1=2, s2=2, overlap=2, max_outer=2, eps_min=1e-10)
+        code, rows = run_table("raspen", base, tmp_path)
+        assert code == 4
+        bad = [row for row in rows if not row.converged]
+        assert bad and all(row.outer_iters == 2 and row.failure for row in bad)
+        assert all(row.avg_inner_iters is None and row.avg_gmres_iters is None
+                   for row in bad)
+        assert read_benchmark_csv(tmp_path / "table_raspen.csv") == rows
+
     def test_raspen_table_runs(self, tmp_path):
         base = mild_config(s1=2, s2=2, overlap=2)
         code, rows = run_table("raspen", base, tmp_path)

@@ -436,7 +436,7 @@ class TestSparseLU:
         # natural-order matrix
         for jac, reference, rhs in stiff_jacobians(n, mu):
             assert isinstance(jac, Ordered)
-            lu, fallbacks = sparse_lu(jac, spla.splu)
+            lu, fallbacks, _ = sparse_lu(jac, spla.splu)
             assert fallbacks == 0
             d = lu.solve(rhs)
             d_ref = spla.splu(reference).solve(rhs)
@@ -474,7 +474,7 @@ class TestSparseLU:
         jac = natural(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
         rhs = rng.standard_normal(6)
         splu, calls = self.spoiled_splu(spoil)
-        lu, fallbacks = sparse_lu(jac, splu)
+        lu, fallbacks, _ = sparse_lu(jac, splu)
         assert fallbacks == 1
         assert len(calls) == 2 and calls[1] == {}
         np.testing.assert_array_equal(lu.solve(rhs), spla.splu(jac.stored).solve(rhs))
@@ -506,7 +506,7 @@ class TestSparseLU:
         jac = jacobian(x, spec, 1e-2)
         rhs = rng.standard_normal(2 * grid.size)
         splu, calls = self.spoiled_splu(lambda z: z * (1.0 + 1e-8))
-        lu, fallbacks = sparse_lu(jac, splu)
+        lu, fallbacks, _ = sparse_lu(jac, splu)
         assert fallbacks == 1
         # the ordered matrix is factored as stored in one-column panels, as
         # float32_lu factors it, then with splu's defaults
@@ -518,6 +518,67 @@ class TestSparseLU:
         expected = np.empty_like(rhs)
         expected[jac.order] = spla.splu(jac.stored).solve(rhs[jac.order])
         np.testing.assert_array_equal(lu.solve(rhs), expected)
+
+    def test_direction_is_its_own_probe(self, monkeypatch):
+        # a symmetric-mode factor that solves jac z = jac @ ones exactly but
+        # spoils every other solve: kept for later solves it passes its
+        # probe, while a direction falls back once to the pivoted factor
+        rng = np.random.default_rng(5)
+        a = sp.csc_matrix(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
+        b = rng.standard_normal(6)
+        jac, ones_rhs = natural(a), a @ np.ones(6)
+
+        def splu(matrix, **kwargs):
+            lu = spla.splu(matrix, **kwargs)
+            if not kwargs:
+                return lu
+            return SimpleNamespace(solve=lambda v: lu.solve(v) * (
+                1.0 if np.array_equal(v, ones_rhs) else 1.0 + 1e-8))
+
+        assert sparse_lu(jac, splu)[1] == 0
+        _, fallbacks, d = sparse_lu(jac, splu, b)
+        assert fallbacks == 1
+        d_ref = spla.splu(a).solve(b)
+        np.testing.assert_array_equal(d, d_ref)
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
+        x, report = newton_continuation(
+            np.zeros(6), lambda x, eps: a @ x - b, lu_direction(lambda x, eps: jac),
+            ContinuationSchedule.fixed(1.0), NewtonConfig())
+        assert report.outer_iters == 1 and report.lu_fallbacks == 1
+        np.testing.assert_array_equal(x, d_ref)
+
+    @pytest.mark.parametrize("solve", ["state", "raspen-local"])
+    def test_one_shot_factor_solves_only_its_direction(self, monkeypatch, solve):
+        # each factor of the state solve and of a RASPEN local Newton solve
+        # makes one triangular solve, of its step's right-hand side in stored
+        # order: no solve of jac z = jac @ ones
+        grid = Grid(16)
+        spec, _ = construct_test_problem(grid, nu=1e-2, k_tilde=2)
+        factors, directions = [], []
+        real_sparse_lu = newton.sparse_lu
+
+        def sparse_lu(jac, splu, rhs=None):
+            directions.append(None if rhs is None else rhs[jac.order])
+            return real_sparse_lu(jac, splu, rhs)
+
+        def recording_splu(matrix, **kwargs):
+            lu, solves = spla.splu(matrix, **kwargs), []
+            factors.append(solves)
+            return SimpleNamespace(solve=lambda v: solves.append(v.copy()) or lu.solve(v))
+
+        monkeypatch.setattr(newton, "sparse_lu", sparse_lu)
+        monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=recording_splu))
+        if solve == "state":
+            construct_test_problem(grid, nu=1e-2, k_tilde=2)
+        else:
+            # the frozen factors are made by schwarz's splu, not recorded here
+            _, corrections = raspen_residual(np.zeros(2 * grid.size), decompose(grid, 2, 2, 1),
+                                             spec, 1e-2, NewtonConfig(tol=1e-8))
+            assert len(directions) == sum(r.outer_iters for r in corrections.reports)
+        assert directions and len(factors) == len(directions)
+        for solves, b in zip(factors, directions):
+            assert len(solves) == 1
+            np.testing.assert_array_equal(solves[0], b)
 
     def test_singular_matrix_raises_like_splu(self):
         jac = natural(np.diag([1.0, 0.0, 2.0]))
@@ -922,8 +983,8 @@ class TestStepLifetimes:
 
         monkeypatch.setattr(newton, "backtrack", backtrack)
         monkeypatch.setattr(newton, "spla", SimpleNamespace(splu=splu))
-        monkeypatch.setattr(newton, "sparse_lu", lambda jac, splu: real_sparse_lu(
-            watched("jacobian", jac), splu))
+        monkeypatch.setattr(newton, "sparse_lu", lambda jac, splu, rhs=None: real_sparse_lu(
+            watched("jacobian", jac), splu, rhs))
         monkeypatch.setattr(experiments, "jacobian", lambda x, spec, eps: watched(
             "jacobian", real_jacobian(x, spec, eps)))
         monkeypatch.setattr(experiments, "ras_preconditioner", lambda *args: watched(

@@ -281,9 +281,9 @@ class TestSolveState:
         jacobians, factors = [], []
         real_lu, real_splu = newton.sparse_lu, newton.spla.splu
 
-        def sparse_lu(jac, splu):
+        def sparse_lu(jac, splu, rhs=None):
             jacobians.append(jac)
-            return real_lu(jac, splu)
+            return real_lu(jac, splu, rhs)
 
         def splu(matrix, **kwargs):
             factors.append(kwargs.get("permc_spec"))
